@@ -16,7 +16,7 @@ The package splits into a small stack of layers:
 
 from .cluster import (ClusterLabels, clustering_error, kfn_neg_graph, kmeans,
                       knn_pos_graph, spectral_cluster)
-from .csr import SparseSymMatrix, spmv
+from .csr import SparseSymMatrix
 from .densela import (dense_geometric_mean, dense_inv_sqrt, dense_sym_eig,
                       ORACLE_CAP)
 from .errors import ConvergenceError, EdgeListParseError, IndefiniteOperatorError
@@ -28,7 +28,7 @@ from .graphs import (ShiftConfig, SignedGraph, degrees, laplacian,
                      load_edge_list, shifted_pair, signed_laplacian,
                      signless_laplacian)
 from .pcg import pcg_solve
-from .precond import IcPreconditioner, incomplete_cholesky
+from .precond import IcPreconditioner, incomplete_cholesky, jacobi
 from .sbm import (SbmParams, conditions, corollary_bound, expected_graph,
                   expected_spectrum, indicator_basis, region_fraction, sample,
                   two_cluster_benchmark_graph)
@@ -44,9 +44,9 @@ __all__ = [
     "dense_geometric_mean", "dense_inv_sqrt", "dense_sym_eig", "degrees",
     "eksm_apply_inv_sqrt", "expected_graph", "expected_spectrum",
     "incomplete_cholesky", "indicator_basis", "ipm_smallest_eigenpair",
-    "kfn_neg_graph", "kmeans", "knn_pos_graph", "laplacian", "load_edge_list",
-    "matrix_smallest_k_eigenpairs", "pcg_solve", "region_fraction", "sample",
-    "shifted_pair", "signed_laplacian", "signless_laplacian",
-    "smallest_k_eigenpairs", "spectral_cluster", "spmv",
+    "jacobi", "kfn_neg_graph", "kmeans", "knn_pos_graph", "laplacian",
+    "load_edge_list", "matrix_smallest_k_eigenpairs", "pcg_solve",
+    "region_fraction", "sample", "shifted_pair", "signed_laplacian",
+    "signless_laplacian", "smallest_k_eigenpairs", "spectral_cluster",
     "two_cluster_benchmark_graph",
 ]

@@ -9,7 +9,8 @@ Subcommands
 ``cluster``      cluster one signed graph, given as an edge list or as a
                  point cloud (nearest/farthest neighbor construction).
 ``bench``        timing of the smallest-eigenvector computation on
-                 two-perfect-cluster graphs of growing size.
+                 two-perfect-cluster graphs of growing size; a cell that
+                 runs out of memory or fails numerically gets an ``NA`` row.
 
 Every CSV starts with a ``#``-prefixed JSON line holding the full run
 configuration; rerunning with the same configuration reproduces the numeric
@@ -219,7 +220,7 @@ def cmd_bench(args):
                            for _ in range(args.repetitions)]
                 med = statistics.median(s for s, _ in samples)
                 rows.append((n, method, med, samples[0][1]))
-            except MemoryError:
+            except (MemoryError, *NUMERIC_FAILURES):
                 rows.append((n, method, "NA", "NA"))
     _write_csv(args.out, _config(args),
                ("n", "method", "median_seconds", "iterations"), rows)

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 
 from ._util import as_seed_sequence
 from .csr import SparseSymMatrix
+from .errors import ConvergenceError
 from .geomean import (PencilOperator, matrix_smallest_k_eigenpairs,
                       smallest_k_eigenpairs)
 from .graphs import ShiftConfig, shifted_pair, signed_laplacian
@@ -75,7 +76,8 @@ def _lloyd(points, centers, max_iter, rtol):
         labels = np.argmin(d2, axis=1)  # ties go to the lowest centroid index
         inertia = float(np.sum(np.take_along_axis(d2, labels[:, None], axis=1)))
         inertia = max(inertia, 0.0)
-        assert inertia <= prev + 1e-9 * max(1.0, abs(prev)), "k-means objective increased"
+        if inertia > prev + 1e-9 * max(1.0, abs(prev)):
+            raise ConvergenceError("k-means objective increased")
         for c in range(centers.shape[0]):
             mask = labels == c
             if np.any(mask):

@@ -205,8 +205,3 @@ class SparseSymMatrix:
 
     def __repr__(self):
         return f"SparseSymMatrix(n={self.n}, nnz={self.nnz})"
-
-
-def spmv(m, x):
-    """Sparse symmetric matrix-vector product ``m @ x``."""
-    return m.matvec(x)

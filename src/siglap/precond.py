@@ -1,10 +1,15 @@
-"""Zero-fill incomplete Cholesky preconditioning.
+"""Jacobi and zero-fill incomplete Cholesky preconditioning.
 
-The factor keeps exactly the lower-triangular sparsity pattern of the input
-(IC(0)).  If a pivot becomes non-positive the factorization falls back to the
-Jacobi (diagonal) preconditioner instead of failing or shifting; the chosen
-kind is recorded on the result.  Factorization and the two triangular solves
-are numba-compiled, with plain-Python fallbacks when numba is unavailable.
+:func:`jacobi` scales by the inverse diagonal.  :func:`incomplete_cholesky`
+keeps exactly the lower-triangular sparsity pattern of the input (IC(0)).  If
+a pivot becomes non-positive the factorization falls back to :func:`jacobi`
+instead of failing or shifting; the chosen kind is recorded on the result.
+Factorization and the two triangular solves are numba-compiled, with
+plain-Python fallbacks when numba is unavailable.
+
+IC(0)'s only remaining caller is the explicit-matrix eigensolver
+(:func:`siglap.geomean.matrix_smallest_k_eigenpairs`); the geometric-mean
+pencil uses :func:`jacobi`.
 """
 
 import numpy as np
@@ -12,7 +17,7 @@ import scipy.sparse as sp
 
 try:
     from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dependency in practice
+except ImportError:
     def njit(*args, **kwargs):
         if args and callable(args[0]):
             return args[0]
@@ -118,9 +123,16 @@ class IcPreconditioner:
         return out
 
 
-def _jacobi(diag):
+def jacobi(m):
+    """Jacobi (diagonal) preconditioner of a symmetric matrix.
+
+    Scales by the inverse of each positive diagonal entry; rows whose
+    diagonal is zero or negative are left unscaled, so the application stays
+    symmetric positive definite for any input.
+    """
+    diag = m.diagonal_vector()
     inv = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
-    return IcPreconditioner("diagonal", diag.shape[0], inv_diag=inv)
+    return IcPreconditioner("diagonal", m.n, inv_diag=inv)
 
 
 def incomplete_cholesky(m):
@@ -132,12 +144,12 @@ def incomplete_cholesky(m):
     """
     diag = m.diagonal_vector()
     if diag.size == 0 or np.any(diag <= 0.0):
-        return _jacobi(diag)
+        return jacobi(m)
     lower = sp.tril(m.to_scipy(), format="csr")
     lower.sort_indices()
     lx = lower.data.copy()
     ok = _ic0_factor(m.n, lower.indptr, lower.indices, lx)
     if not ok:
-        return _jacobi(diag)
+        return jacobi(m)
     factored = sp.csr_array((lx, lower.indices, lower.indptr), shape=lower.shape)
     return IcPreconditioner("ic0", m.n, lower_csr=factored)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import siglap.cli
 from siglap.cli import main
+from siglap.errors import ConvergenceError
 from siglap.sbm import region_fraction
 
 
@@ -155,6 +157,25 @@ class TestBench:
     def test_descending_sizes_rejected(self, tmp_path, capsys):
         code = main(["bench", "--n", "400", "--n", "200", "--repetitions", "1"])
         assert code == 2
+
+    def test_numerical_failure_writes_na_row(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("injected")
+
+        monkeypatch.setattr(siglap.cli, "smallest_k_eigenpairs", fail)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--n", "100", "--n", "200", "--avg-degree", "10",
+                     "--methods", "SN,GM", "--repetitions", "1",
+                     "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_csv(out)
+        assert [r[:2] for r in rows] == [["100", "SN"], ["100", "GM"],
+                                         ["200", "SN"], ["200", "GM"]]
+        for r in rows:
+            if r[1] == "SN":
+                assert float(r[2]) > 0.0
+            else:
+                assert r[2:] == ["NA", "NA"]
 
     def test_median_of_repetitions(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from siglap import SparseSymMatrix, spmv
+from siglap import SparseSymMatrix
 
 
 def random_sym(n, density, rng):
@@ -51,17 +51,17 @@ class TestConstruction:
 class TestSpmv:
     def test_laplacian_kernel(self):
         m = SparseSymMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]])
-        assert np.array_equal(spmv(m, np.ones(2)), np.zeros(2))
+        assert np.array_equal(m.matvec(np.ones(2)), np.zeros(2))
 
     def test_identity(self):
         m = SparseSymMatrix.identity(3)
         x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(spmv(m, x), x)
+        assert np.array_equal(m.matvec(x), x)
 
     def test_hand_multiplication(self):
         m = SparseSymMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]])
         x = np.array([1.0, -1.0])
-        assert np.array_equal(spmv(m, x), x)
+        assert np.array_equal(m.matvec(x), x)
 
     def test_dimension_mismatch(self):
         m = SparseSymMatrix.identity(3)

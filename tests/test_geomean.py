@@ -12,13 +12,24 @@ from siglap.sbm import (SbmParams, conditions, expected_graph, indicator_basis,
                         sample)
 
 
-def sbm_pencil(n_half, seed, shift=ShiftConfig(1e-4, 1e-4), pcg_tol=1e-10, **kw):
+def sbm_graph(n_half, seed, **kw):
     params = SbmParams(k=2, cluster_size=n_half,
                        p_in_plus=kw.get("pip", 0.4), p_out_plus=kw.get("pop", 0.08),
                        p_in_minus=kw.get("pim", 0.08), p_out_minus=kw.get("pom", 0.4))
-    g = sample(params, seed=seed)
-    a, b = shifted_pair(g, shift)
+    return sample(params, seed=seed)
+
+
+def sbm_pencil(n_half, seed, shift=ShiftConfig(1e-4, 1e-4), pcg_tol=1e-10, **kw):
+    a, b = shifted_pair(sbm_graph(n_half, seed, **kw), shift)
     return PencilOperator(a, b, pcg_tol=pcg_tol)
+
+
+def isolate_vertex(g, v):
+    """``g`` with every ``W+`` edge at vertex ``v`` removed."""
+    wp = g.w_plus.to_dense()
+    wp[v, :] = 0.0
+    wp[:, v] = 0.0
+    return SignedGraph(w_plus=SparseSymMatrix.from_dense(wp), w_minus=g.w_minus)
 
 
 def dense_pair(pencil):
@@ -270,6 +281,26 @@ class TestSmallestK:
             smallest_k_eigenpairs(pencil, 0)
         with pytest.raises(ValueError):
             smallest_k_eigenpairs(pencil, 5)
+
+
+class TestJacobiPencil:
+    def test_pencil_preconditioners_are_diagonal(self):
+        pencil = sbm_pencil(10, seed=1)
+        assert pencil.pc_a.kind == "diagonal"
+        assert pencil.pc_b.kind == "diagonal"
+
+    @pytest.mark.parametrize("isolated", [False, True])
+    def test_smallest_pairs_match_dense_oracle(self, isolated):
+        g = sbm_graph(20, seed=23)
+        if isolated:
+            g = isolate_vertex(g, 0)
+        a, b = shifted_pair(g, ShiftConfig(1e-4, 1e-4))
+        pairs = smallest_k_eigenpairs(PencilOperator(a, b), 2, tol=1e-10)
+        w, v = dense_sym_eig(dense_geometric_mean(a.to_dense(), b.to_dense()))
+        vals = np.array([p.value for p in pairs])
+        assert np.all(np.abs(vals - w[:2]) <= 1e-6 * np.abs(w[:2]))
+        span = np.column_stack([p.vector for p in pairs])
+        assert subspace_angle(span, v[:, :2]) <= 1e-5
 
 
 class TestMatrixEigensolver:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from siglap import SparseSymMatrix, incomplete_cholesky
+from siglap import SparseSymMatrix, incomplete_cholesky, jacobi, pcg_solve
 
 
 class TestIncompleteCholesky:
@@ -81,3 +81,28 @@ class TestIncompleteCholesky:
         pc = incomplete_cholesky(m)
         assert pc.kind == "diagonal"
         assert np.all(np.isfinite(pc.solve(np.ones(3))))
+
+
+class TestJacobi:
+    def test_scales_by_inverse_diagonal(self):
+        pc = jacobi(SparseSymMatrix.from_dense([[4.0, 1.0], [1.0, 2.0]]))
+        assert pc.kind == "diagonal"
+        np.testing.assert_allclose(pc.solve(np.array([2.0, 2.0])), [0.5, 1.0])
+
+    def test_nonpositive_diagonal_left_unscaled(self):
+        m = SparseSymMatrix.from_dense(
+            [[0.0, 1.0, 0.0], [1.0, -2.0, 0.0], [0.0, 0.0, 5.0]]
+        )
+        np.testing.assert_allclose(jacobi(m).solve(np.ones(3)), [1.0, 1.0, 0.2])
+
+    def test_exact_on_diagonal_operator(self):
+        m = SparseSymMatrix.diagonal([1e-4, 3.0, 250.0])
+        b = np.array([1.0, -2.0, 5.0])
+        x, iters = pcg_solve(m, b, jacobi(m), tol=1e-14)
+        assert iters == 1
+        np.testing.assert_allclose(x, b / np.array([1e-4, 3.0, 250.0]), rtol=1e-14)
+
+    def test_breakdown_fallback_is_jacobi(self):
+        m = SparseSymMatrix.from_dense([[1.0, 2.0], [2.0, 4.0]])
+        r = np.array([3.0, 8.0])
+        np.testing.assert_array_equal(incomplete_cholesky(m).solve(r), jacobi(m).solve(r))

@@ -15,15 +15,14 @@ The package splits into a small stack of layers:
 """
 
 from .cluster import (ClusterLabels, clustering_error, kfn_neg_graph, kmeans,
-                      knn_pos_graph, spectral_cluster)
+                      knn_pos_graph, smallest_eigenpairs, spectral_cluster)
 from .csr import SparseSymMatrix
 from .densela import (dense_geometric_mean, dense_inv_sqrt, dense_sym_eig,
                       ORACLE_CAP)
 from .errors import ConvergenceError, EdgeListParseError, IndefiniteOperatorError
 from .geomean import (EigenPair, PencilOperator, a_orthonormalize,
                       apply_geometric_mean, eksm_apply_inv_sqrt,
-                      ipm_smallest_eigenpair, matrix_smallest_k_eigenpairs,
-                      smallest_k_eigenpairs)
+                      matrix_smallest_k_eigenpairs, smallest_k_eigenpairs)
 from .graphs import (ShiftConfig, SignedGraph, degrees, laplacian,
                      load_edge_list, shifted_pair, signed_laplacian,
                      signless_laplacian)
@@ -43,10 +42,10 @@ __all__ = [
     "clustering_error", "conditions", "corollary_bound",
     "dense_geometric_mean", "dense_inv_sqrt", "dense_sym_eig", "degrees",
     "eksm_apply_inv_sqrt", "expected_graph", "expected_spectrum",
-    "incomplete_cholesky", "indicator_basis", "ipm_smallest_eigenpair",
-    "jacobi", "kfn_neg_graph", "kmeans", "knn_pos_graph", "laplacian",
-    "load_edge_list", "matrix_smallest_k_eigenpairs", "pcg_solve",
-    "region_fraction", "sample", "shifted_pair", "signed_laplacian",
-    "signless_laplacian", "smallest_k_eigenpairs", "spectral_cluster",
+    "incomplete_cholesky", "indicator_basis", "jacobi", "kfn_neg_graph",
+    "kmeans", "knn_pos_graph", "laplacian", "load_edge_list",
+    "matrix_smallest_k_eigenpairs", "pcg_solve", "region_fraction", "sample",
+    "shifted_pair", "signed_laplacian", "signless_laplacian",
+    "smallest_eigenpairs", "smallest_k_eigenpairs", "spectral_cluster",
     "two_cluster_benchmark_graph",
 ]

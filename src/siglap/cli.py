@@ -9,8 +9,11 @@ Subcommands
 ``cluster``      cluster one signed graph, given as an edge list or as a
                  point cloud (nearest/farthest neighbor construction).
 ``bench``        timing of the smallest-eigenvector computation on
-                 two-perfect-cluster graphs of growing size; a cell that
-                 runs out of memory or fails numerically gets an ``NA`` row.
+                 two-perfect-cluster graphs of growing size, through the
+                 same method-to-operator map as ``cluster``
+                 (:func:`siglap.cluster.smallest_eigenpairs`) but with strict
+                 convergence; a cell that runs out of memory or fails
+                 numerically gets an ``NA`` row.
 
 Every CSV starts with a ``#``-prefixed JSON line holding the full run
 configuration; rerunning with the same configuration reproduces the numeric
@@ -29,10 +32,10 @@ import numpy as np
 
 from ._util import as_seed_sequence
 from .cluster import (METHODS, clustering_error, kfn_neg_graph, knn_pos_graph,
-                      load_labels, load_points, spectral_cluster)
+                      load_labels, load_points, smallest_eigenpairs,
+                      spectral_cluster)
 from .errors import ConvergenceError, EdgeListParseError, IndefiniteOperatorError
-from .geomean import PencilOperator, matrix_smallest_k_eigenpairs, smallest_k_eigenpairs
-from .graphs import ShiftConfig, SignedGraph, load_edge_list, shifted_pair, signed_laplacian
+from .graphs import ShiftConfig, SignedGraph, load_edge_list
 from .sbm import (CONDITIONINGS, TARGETS, SbmParams, region_fraction,
                   sample, two_cluster_benchmark_graph)
 
@@ -197,14 +200,7 @@ def cmd_cluster(args):
 def _time_smallest_eigenvector(g, method, args):
     shift = _shift(args)
     start = time.perf_counter()
-    if method == "GM":
-        a, b = shifted_pair(g, shift)
-        pencil = PencilOperator(a, b)
-        pair = smallest_k_eigenpairs(pencil, 1, tol=args.tol)[0]
-    else:
-        m = signed_laplacian(g, method)
-        pair = matrix_smallest_k_eigenpairs(m, 1, definite=method != "BN",
-                                            tol=args.tol)[0]
+    pair = smallest_eigenpairs(g, 1, method, shift=shift, tol=args.tol)[0]
     return time.perf_counter() - start, pair.iterations
 
 

@@ -178,43 +178,51 @@ class SpectralClusteringResult:
     method: str
 
 
-def spectral_cluster(g, k, method="GM", shift=None, seed=0, restarts=10,
-                     tol=1e-8, eksm_tol=None, pcg_tol=None, max_iter=500,
-                     resid_tol=1e-4):
-    """Cluster a signed graph from the k smallest eigenvectors of an operator.
+# spectral_cluster accepts an eigenvector once its backward error is below
+# RESID_TOL even while it still rotates inside a cluster of nearly equal
+# eigenvalues; that wander is irrelevant to k-means (the embedding subspace is
+# what matters) and waiting it out would cost thousands of iterations on
+# block-model graphs, whose planted eigenvalues are nearly degenerate by
+# construction.
+RESID_TOL = 1e-4
 
-    ``method`` selects the operator: the geometric mean of the shifted
-    normalized pair (``GM``, solved matrix-free) or one of the explicit
-    matrices ``SN``/``BN``/``AM``.  The embedding rows are then clustered with
-    k-means.
 
-    ``resid_tol`` accepts an eigenvector once its backward error is below the
-    threshold even while it still rotates inside a cluster of nearly equal
-    eigenvalues; that wander is irrelevant to k-means (the embedding subspace
-    is what matters) and waiting it out would cost thousands of iterations on
-    block-model graphs, whose planted eigenvalues are nearly degenerate by
-    construction.  Pass ``resid_tol=0`` for strict per-vector convergence.
+def smallest_eigenpairs(g, k, method, shift=None, tol=1e-8, seed=0,
+                        resid_tol=0.0):
+    """The ``k`` smallest eigenpairs of the operator ``method`` names for ``g``.
+
+    ``GM`` is the geometric mean of the shifted normalized pair (``shift``,
+    default :class:`ShiftConfig`), solved matrix-free; ``SN``/``BN``/``AM``
+    are explicit matrices (``shift`` is ignored).  ``resid_tol=0`` asks for
+    strict per-vector convergence.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    if method == "GM":
+        a, b = shifted_pair(g, shift if shift is not None else ShiftConfig())
+        return smallest_k_eigenpairs(PencilOperator(a, b), k, tol=tol,
+                                     seed=seed, resid_tol=resid_tol)
+    return matrix_smallest_k_eigenpairs(
+        signed_laplacian(g, method), k, definite=method != "BN", tol=tol,
+        seed=seed, resid_tol=resid_tol,
+    )
+
+
+def spectral_cluster(g, k, method="GM", shift=None, seed=0, restarts=10,
+                     tol=1e-8):
+    """Cluster a signed graph from the k smallest eigenvectors of an operator.
+
+    ``method`` selects the operator (see :func:`smallest_eigenpairs`); the
+    eigenvectors are accepted at backward error ``RESID_TOL`` and the
+    embedding rows are then clustered with k-means.
+    """
     if g.n == 0:
         raise ValueError("graph is empty")
     if not 2 <= k <= g.n:
         raise ValueError(f"k must be in [2, {g.n}], got {k}")
     eig_seed, km_seed = as_seed_sequence(seed).spawn(2)
-    if method == "GM":
-        shift = shift if shift is not None else ShiftConfig()
-        a, b = shifted_pair(g, shift)
-        pencil = PencilOperator(a, b, pcg_tol=pcg_tol)
-        pairs = smallest_k_eigenpairs(pencil, k, tol=tol, max_iter=max_iter,
-                                      eksm_tol=eksm_tol, seed=eig_seed,
-                                      resid_tol=resid_tol)
-    else:
-        m = signed_laplacian(g, method)
-        pairs = matrix_smallest_k_eigenpairs(
-            m, k, definite=method != "BN", tol=tol, max_iter=max_iter,
-            pcg_tol=pcg_tol, seed=eig_seed, resid_tol=resid_tol,
-        )
+    pairs = smallest_eigenpairs(g, k, method, shift=shift, tol=tol,
+                                seed=eig_seed, resid_tol=RESID_TOL)
     embedding = np.column_stack([p.vector for p in pairs])
     km = kmeans(embedding, k, restarts=restarts, seed=km_seed)
     return SpectralClusteringResult(

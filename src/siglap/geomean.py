@@ -19,9 +19,11 @@ iteration count unchanged (2911 against 2681 with Jacobi) and only halved the
 ``B`` count.  The explicit-matrix path below still builds IC(0) for its one
 shifted matrix.
 
-The same deflated inverse iteration doubles as the eigensolver for a single
-sparse symmetric matrix (:func:`matrix_smallest_k_eigenpairs`), which the
-clustering front end uses for the arithmetic-mean style operators.
+One deflated inverse iteration serves both entry points:
+:func:`smallest_k_eigenpairs` for the pencil and
+:func:`matrix_smallest_k_eigenpairs` for a single sparse symmetric matrix (the
+arithmetic-mean style operators of the clustering front end).  Each supplies
+only the operator and its inverse.
 """
 
 import warnings
@@ -39,21 +41,21 @@ DEFAULT_EKSM_TOL = 1e-10
 DEFAULT_PCG_TOL = 1e-10
 DEFAULT_IPM_TOL = 1e-8
 DEFAULT_MAX_OUTER = 500
+# diagonal shift that makes a positive semidefinite matrix definite for the
+# inner solves of matrix_smallest_k_eigenpairs
+MATRIX_SHIFT = 1e-6
 
 
 class PencilOperator:
-    """SPD operator pair with Jacobi preconditioners built once.
+    """Immutable SPD operator pair with Jacobi preconditioners built once.
 
     ``pc_a`` and ``pc_b`` scale by the inverse diagonals of ``A`` and ``B``.
     Jacobi is exact on diagonal operators and rescales the ``eps1``-only rows
     that isolated vertices leave in ``A``; IC(0) cut the ``B`` iterations by
     half but, in pure Python, cost far more per application than it saved.
-
-    Immutable apart from the cumulative inner-iteration counter, which only
-    instruments performance reporting.
     """
 
-    def __init__(self, a, b, pcg_tol=None, pcg_max_iter=None):
+    def __init__(self, a, b, pcg_tol=None):
         if a.n != b.n:
             raise ValueError("operator pair must share the vertex set")
         self.a = a
@@ -61,8 +63,6 @@ class PencilOperator:
         self.pc_a = jacobi(a)
         self.pc_b = jacobi(b)
         self.pcg_tol = DEFAULT_PCG_TOL if pcg_tol is None else pcg_tol
-        self.pcg_max_iter = pcg_max_iter
-        self.inner_iterations = 0
 
     @property
     def n(self):
@@ -75,16 +75,10 @@ class PencilOperator:
         return self.b.matvec(x)
 
     def solve_a(self, rhs):
-        x, it = pcg_solve(self.a, rhs, self.pc_a,
-                          tol=self.pcg_tol, max_iter=self.pcg_max_iter)
-        self.inner_iterations += it
-        return x
+        return pcg_solve(self.a, rhs, self.pc_a, tol=self.pcg_tol)[0]
 
     def solve_b(self, rhs):
-        x, it = pcg_solve(self.b, rhs, self.pc_b,
-                          tol=self.pcg_tol, max_iter=self.pcg_max_iter)
-        self.inner_iterations += it
-        return x
+        return pcg_solve(self.b, rhs, self.pc_b, tol=self.pcg_tol)[0]
 
 
 def a_orthonormalize(basis, w, apply_a, a_basis=None, breakdown_rtol=1e-12):
@@ -127,8 +121,6 @@ class EksmState:
 
     basis: np.ndarray       # n x m, A-orthonormal columns
     projected: np.ndarray   # m x m symmetric, basis' B basis
-    frontier_u: np.ndarray  # next M-power chain vector (None once the chain closed)
-    frontier_v: np.ndarray  # next inverse-chain vector
     s: int
 
 
@@ -242,13 +234,7 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60,
             v = pencil.solve_b(a_basis[:, v_idx])
 
     x = basis @ coef
-    state = EksmState(
-        basis=basis,
-        projected=h,
-        frontier_u=u if u_alive else None,
-        frontier_v=v if v_alive else None,
-        s=s,
-    )
+    state = EksmState(basis=basis, projected=h, s=s)
     if not converged:
         err = ConvergenceError(
             f"extended Krylov iteration did not reach tol={tol:g} within "
@@ -278,24 +264,9 @@ class EigenPair:
     iterations: int
 
 
-def _check_deflation(deflate, n):
-    if deflate is None:
-        return np.empty((n, 0))
-    deflate = np.asarray(deflate, dtype=np.float64)
-    if deflate.ndim == 1:
-        deflate = deflate[:, None]
-    if deflate.shape[0] != n:
-        raise ValueError("deflation vectors have the wrong length")
-    if deflate.shape[1]:
-        gram = deflate.T @ deflate
-        if np.abs(gram - np.eye(deflate.shape[1])).max() > 1e-8:
-            raise ValueError("deflation vectors must be Euclidean-orthonormal")
-    return deflate
-
-
-def _inverse_iteration(inv_apply, n, deflate, tol, max_iter, x0, seed,
-                       resid_tol=0.0):
-    """Deflated inverse power iteration.
+def _inverse_iteration(inv_apply, deflate, tol, max_iter, seed, resid_tol):
+    """Inverse power iteration orthogonal to the Euclidean-orthonormal columns
+    of ``deflate``.
 
     Stops when successive (sign-aligned) iterates differ by at most ``tol``,
     or, when ``resid_tol`` is positive, as soon as the iterate is an
@@ -310,20 +281,13 @@ def _inverse_iteration(inv_apply, n, deflate, tol, max_iter, x0, seed,
     improvement over ``stall_window`` iterations) is also accepted when the
     relaxed rule is active.
 
-    Returns ``(x, raw, k)`` where ``raw`` is the pre-normalization inner
-    product ``y_k . x_k`` of the accepted step, i.e. the power-method estimate
-    of the inverse of the sought eigenvalue.
+    Returns ``(x, k)``: the unit iterate and the number of steps taken.
     """
     stall_window = 30
     stall_cap = max(100.0 * resid_tol, 1e-2) if resid_tol > 0.0 else 0.0
     backward_trace = []
-    deflate = _check_deflation(deflate, n)
 
-    if x0 is None:
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(n)
-    else:
-        x = np.array(x0, dtype=np.float64)
+    x = np.random.default_rng(seed).standard_normal(deflate.shape[0])
     if deflate.shape[1]:
         x -= deflate @ (deflate.T @ x)
     nx = np.linalg.norm(x)
@@ -331,33 +295,30 @@ def _inverse_iteration(inv_apply, n, deflate, tol, max_iter, x0, seed,
         raise ValueError("start vector lies in the deflation space")
     x /= nx
 
-    raw = np.nan
     for k in range(1, max_iter + 1):
         y = inv_apply(x)
         if deflate.shape[1]:
             y -= deflate @ (deflate.T @ y)
-        raw = float(y @ x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             raise IndefiniteOperatorError(
                 "inverse application vanished on the deflated subspace"
             )
-        backward = float(np.linalg.norm(y - raw * x) / ny)
+        backward = float(np.linalg.norm(y - float(y @ x) * x) / ny)
         x_new = y / ny
         if float(x_new @ x) < 0.0:
             x_new = -x_new
-            raw = -raw
         diff = float(np.linalg.norm(x_new - x))
         x = x_new
         if diff <= tol or (resid_tol > 0.0 and backward <= resid_tol):
-            return x, raw, k
+            return x, k
         backward_trace.append(backward)
         if (resid_tol > 0.0 and backward <= stall_cap
                 and k > stall_window
                 and backward > 0.5 * backward_trace[-1 - stall_window]):
             # less than a factor-2 gain over the whole window: the backward
             # error has hit its spread floor
-            return x, raw, k
+            return x, k
 
     raise ConvergenceError(
         f"inverse power iteration did not converge in {max_iter} steps "
@@ -368,86 +329,78 @@ def _inverse_iteration(inv_apply, n, deflate, tol, max_iter, x0, seed,
     )
 
 
-def _inner_tol(tol, eksm_tol):
+def _inner_tol(tol):
     # the outer iteration cannot settle below the inner solver's accuracy
-    if eksm_tol is not None:
-        return eksm_tol
     return max(1e-14, min(DEFAULT_EKSM_TOL, 0.01 * tol))
 
 
-def ipm_smallest_eigenpair(pencil, deflate=None, tol=DEFAULT_IPM_TOL,
-                           max_iter=DEFAULT_MAX_OUTER, eksm_tol=None,
-                           eksm_max_s=60, x0=None, seed=0, resid_tol=0.0):
-    """Smallest eigenpair of ``A # B`` orthogonal to the deflation space.
+def _smallest_k(inv_apply, apply, n, k, tol, max_iter, seed, resid_tol):
+    """The ``k`` smallest eigenpairs of the operator ``apply`` by sequential
+    deflated inverse iteration with its inverse ``inv_apply``.
 
-    One outer step applies ``(A # B)^-1`` as a sparse solve with ``A``
-    followed by the Krylov inverse square root, then projects against the
-    deflation space and normalizes.  The reported eigenvalue is the Rayleigh
-    quotient ``x' (A # B) x`` evaluated matrix-free, and the residual
-    ``||(A # B) x - value x||`` is measured the same way.
+    Each pair gets its own start vector, from one child of ``seed``.  The
+    reported eigenvalue is the Rayleigh quotient ``x' apply(x)`` and the
+    residual ``||apply(x) - value x||`` is measured the same way.
     """
-    eksm_tol = _inner_tol(tol, eksm_tol)
-
-    def inv_apply(x):
-        return eksm_apply_inv_sqrt(pencil, pencil.solve_a(x),
-                                   tol=eksm_tol, max_s=eksm_max_s).x
-
-    x, _, iters = _inverse_iteration(inv_apply, pencil.n, deflate, tol,
-                                     max_iter, x0, seed, resid_tol=resid_tol)
-    gx = pencil.apply_b(
-        eksm_apply_inv_sqrt(pencil, x, tol=eksm_tol, max_s=eksm_max_s).x
-    )
-    value = float(x @ gx)
-    residual = float(np.linalg.norm(gx - value * x))
-    return EigenPair(value=value, vector=x, residual=residual, iterations=iters)
-
-
-def _warn_if_not_ascending(values):
-    values = np.asarray(values)
-    if values.size > 1 and np.any(np.diff(values) < -1e-8):
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    basis = np.empty((n, 0))
+    pairs = []
+    for child in as_seed_sequence(seed).spawn(k):
+        x, iters = _inverse_iteration(inv_apply, basis, tol, max_iter, child,
+                                      resid_tol)
+        ax = apply(x)
+        value = float(x @ ax)
+        residual = float(np.linalg.norm(ax - value * x))
+        basis = np.column_stack([basis, x])
+        pairs.append(EigenPair(value=value, vector=x, residual=residual,
+                               iterations=iters))
+    if np.any(np.diff([p.value for p in pairs]) < -1e-8):
         warnings.warn(
             "eigenvalues returned out of order beyond 1e-8; deflation quality "
             "is suspect",
             stacklevel=3,
         )
-
-
-def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL,
-                          max_iter=DEFAULT_MAX_OUTER, eksm_tol=None,
-                          eksm_max_s=60, seed=0, resid_tol=0.0):
-    """The ``k`` smallest eigenpairs of ``A # B`` by sequential deflation."""
-    if not 1 <= k <= pencil.n:
-        raise ValueError(f"k must be in [1, {pencil.n}], got {k}")
-    eksm_tol = _inner_tol(tol, eksm_tol)
-    children = as_seed_sequence(seed).spawn(k)
-    basis = np.empty((pencil.n, 0))
-    pairs = []
-    for i in range(k):
-        pair = ipm_smallest_eigenpair(
-            pencil, deflate=basis, tol=tol, max_iter=max_iter,
-            eksm_tol=eksm_tol, eksm_max_s=eksm_max_s, seed=children[i],
-            resid_tol=resid_tol,
-        )
-        basis = np.column_stack([basis, pair.vector])
-        pairs.append(pair)
-    _warn_if_not_ascending([p.value for p in pairs])
     return pairs
 
 
-def matrix_smallest_k_eigenpairs(m, k, definite=True, shift=1e-6,
-                                 tol=DEFAULT_IPM_TOL, max_iter=DEFAULT_MAX_OUTER,
-                                 pcg_tol=None, seed=0, resid_tol=0.0):
+def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL,
+                          max_iter=DEFAULT_MAX_OUTER, seed=0, resid_tol=0.0):
+    """The ``k`` smallest eigenpairs of ``A # B`` by sequential deflation.
+
+    One outer step applies ``(A # B)^-1`` as a sparse solve with ``A``
+    followed by the Krylov inverse square root; values and residuals are
+    measured with ``A # B`` applied matrix-free.  The Krylov tolerance is
+    tied to ``tol``; the pencil's own ``pcg_tol`` governs the inner solves.
+    """
+    eksm_tol = _inner_tol(tol)
+
+    def inv_apply(x):
+        return eksm_apply_inv_sqrt(pencil, pencil.solve_a(x), tol=eksm_tol).x
+
+    def apply(x):
+        return apply_geometric_mean(pencil, x, tol=eksm_tol)
+
+    return _smallest_k(inv_apply, apply, pencil.n, k, tol, max_iter, seed,
+                       resid_tol)
+
+
+def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
+                                 max_iter=DEFAULT_MAX_OUTER, seed=0,
+                                 resid_tol=0.0):
     """The ``k`` smallest eigenpairs of one sparse symmetric matrix.
 
-    Runs the same deflated inverse iteration on ``m + sigma I`` with PCG inner
-    solves.  ``definite=True`` asserts ``m`` is positive semidefinite and uses
-    ``sigma = shift``; otherwise a Gershgorin bound raises the shift until the
-    iteration matrix is SPD.  Values and residuals refer to ``m`` itself.
+    Runs the same deflated inverse iteration on ``m + sigma I`` with IC(0)
+    preconditioned inner solves to a tolerance tied to ``tol``.
+    ``definite=True`` asserts ``m`` is positive semidefinite and uses
+    ``sigma = MATRIX_SHIFT``; otherwise a Gershgorin bound raises the shift
+    until the iteration matrix is SPD.  Values and residuals refer to ``m``
+    itself.
     """
-    if not 1 <= k <= m.n:
-        raise ValueError(f"k must be in [1, {m.n}], got {k}")
-    pcg_tol = _inner_tol(tol, pcg_tol)
-    sigma = shift
+    pcg_tol = _inner_tol(tol)
+    sigma = MATRIX_SHIFT
     if not definite:
         gersh = float(np.min(m.diagonal_vector() - m.abs_offdiag_row_sums()))
         sigma += max(0.0, -gersh)
@@ -457,17 +410,5 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, shift=1e-6,
     def inv_apply(x):
         return pcg_solve(shifted, x, pc, tol=pcg_tol)[0]
 
-    children = as_seed_sequence(seed).spawn(k)
-    basis = np.empty((m.n, 0))
-    pairs = []
-    for i in range(k):
-        x, _, iters = _inverse_iteration(inv_apply, m.n, basis, tol, max_iter,
-                                         None, children[i], resid_tol=resid_tol)
-        mx = m.matvec(x)
-        value = float(x @ mx)
-        residual = float(np.linalg.norm(mx - value * x))
-        basis = np.column_stack([basis, x])
-        pairs.append(EigenPair(value=value, vector=x, residual=residual,
-                               iterations=iters))
-    _warn_if_not_ascending([p.value for p in pairs])
-    return pairs
+    return _smallest_k(inv_apply, m.matvec, m.n, k, tol, max_iter, seed,
+                       resid_tol)

@@ -162,7 +162,7 @@ class TestBench:
         def fail(*args, **kwargs):
             raise ConvergenceError("injected")
 
-        monkeypatch.setattr(siglap.cli, "smallest_k_eigenpairs", fail)
+        monkeypatch.setattr(siglap.cluster, "smallest_k_eigenpairs", fail)
         out = tmp_path / "bench.csv"
         code = main(["bench", "--n", "100", "--n", "200", "--avg-degree", "10",
                      "--methods", "SN,GM", "--repetitions", "1",

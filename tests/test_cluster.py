@@ -3,8 +3,8 @@ import pytest
 
 from siglap import (ClusterLabels, ShiftConfig, SignedGraph, SparseSymMatrix,
                     clustering_error, kfn_neg_graph, kmeans, knn_pos_graph,
-                    spectral_cluster)
-from siglap.cluster import load_labels, load_points
+                    smallest_eigenpairs, spectral_cluster)
+from siglap.cluster import METHODS, RESID_TOL, load_labels, load_points
 from siglap.sbm import SbmParams, indicator_basis, sample
 
 
@@ -182,6 +182,22 @@ class TestSpectralCluster:
             res = spectral_cluster(g, 2, method=method, seed=3)
             for pair in res.eigenpairs:
                 assert pair.residual <= 1e-6
+
+    def test_embedding_is_smallest_eigenpairs(self):
+        # one method-to-operator map: the embedding is exactly its vectors
+        g, _ = two_clique_graph()
+        for seed, method in enumerate(METHODS):
+            res = spectral_cluster(g, 2, method=method, seed=seed)
+            eig_seed, _ = np.random.SeedSequence(seed).spawn(2)
+            pairs = smallest_eigenpairs(g, 2, method, seed=eig_seed,
+                                        resid_tol=RESID_TOL)
+            np.testing.assert_array_equal(
+                np.column_stack([p.vector for p in pairs]), res.embedding)
+
+    def test_unknown_method_rejected(self):
+        g, _ = two_clique_graph(3)
+        with pytest.raises(ValueError, match="method"):
+            smallest_eigenpairs(g, 2, "XX")
 
     def test_validation(self):
         g, _ = two_clique_graph(3)

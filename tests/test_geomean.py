@@ -4,8 +4,8 @@ import pytest
 from siglap import (ConvergenceError, PencilOperator, ShiftConfig,
                     SparseSymMatrix, a_orthonormalize, apply_geometric_mean,
                     dense_geometric_mean, dense_sym_eig, eksm_apply_inv_sqrt,
-                    ipm_smallest_eigenpair, matrix_smallest_k_eigenpairs,
-                    shifted_pair, smallest_k_eigenpairs)
+                    matrix_smallest_k_eigenpairs, shifted_pair,
+                    smallest_k_eigenpairs)
 from siglap.densela import pencil_inv_sqrt_apply, subspace_angle
 from siglap.graphs import SignedGraph, signed_laplacian
 from siglap.sbm import (SbmParams, conditions, expected_graph, indicator_basis,
@@ -163,14 +163,14 @@ class TestIpm:
     def test_identity_pencil(self):
         pencil = PencilOperator(SparseSymMatrix.identity(6),
                                 SparseSymMatrix.identity(6))
-        pair = ipm_smallest_eigenpair(pencil)
+        pair = smallest_k_eigenpairs(pencil, 1)[0]
         assert pair.value == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0)
 
     def test_commuting_diagonal(self):
         pencil = PencilOperator(SparseSymMatrix.diagonal([1.0, 4.0]),
                                 SparseSymMatrix.diagonal([9.0, 1.0]))
-        pair = ipm_smallest_eigenpair(pencil, tol=1e-12)
+        pair = smallest_k_eigenpairs(pencil, 1, tol=1e-12)[0]
         assert pair.value == pytest.approx(2.0, abs=1e-9)
         assert abs(pair.vector[1]) == pytest.approx(1.0, abs=1e-6)
 
@@ -185,7 +185,7 @@ class TestIpm:
         a = SparseSymMatrix.from_dense(lsym + shift.eps1 * np.eye(n))
         b = SparseSymMatrix.from_dense(qsym + shift.eps2 * np.eye(n))
         pencil = PencilOperator(a, b)
-        pair = ipm_smallest_eigenpair(pencil, tol=1e-10)
+        pair = smallest_k_eigenpairs(pencil, 1, tol=1e-10)[0]
         gm = dense_geometric_mean(a.to_dense(), b.to_dense())
         w, v = dense_sym_eig(gm)
         assert abs(pair.value - w[0]) <= 1e-6 * w[0]
@@ -193,17 +193,11 @@ class TestIpm:
 
     def test_residual_is_small_and_measured(self):
         pencil = sbm_pencil(25, seed=2)
-        pair = ipm_smallest_eigenpair(pencil, tol=1e-9)
+        pair = smallest_k_eigenpairs(pencil, 1, tol=1e-9)[0]
         gm = dense_geometric_mean(*dense_pair(pencil))
         true_resid = np.linalg.norm(gm @ pair.vector - pair.value * pair.vector)
         assert pair.residual <= 1e-7
         assert pair.residual == pytest.approx(true_resid, rel=1e-2, abs=1e-9)
-
-    def test_deflation_requires_orthonormal_vectors(self):
-        pencil = sbm_pencil(10, seed=1)
-        bad = np.ones((20, 1))
-        with pytest.raises(ValueError, match="orthonormal"):
-            ipm_smallest_eigenpair(pencil, deflate=bad)
 
 
 class TestSmallestK:
@@ -281,6 +275,15 @@ class TestSmallestK:
             smallest_k_eigenpairs(pencil, 0)
         with pytest.raises(ValueError):
             smallest_k_eigenpairs(pencil, 5)
+
+    @pytest.mark.parametrize("solve", [
+        smallest_k_eigenpairs,
+        lambda pencil, k, **kw: matrix_smallest_k_eigenpairs(pencil.a, k, **kw),
+    ], ids=["pencil", "matrix"])
+    def test_max_iter_validation(self, solve):
+        pencil = sbm_pencil(10, seed=1)
+        with pytest.raises(ValueError, match="max_iter"):
+            solve(pencil, 1, max_iter=0)
 
 
 class TestJacobiPencil:

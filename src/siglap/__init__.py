@@ -23,9 +23,9 @@ from .errors import ConvergenceError, EdgeListParseError, IndefiniteOperatorErro
 from .geomean import (EigenPair, PencilOperator, a_orthonormalize,
                       apply_geometric_mean, eksm_apply_inv_sqrt,
                       matrix_smallest_k_eigenpairs, smallest_k_eigenpairs)
-from .graphs import (ShiftConfig, SignedGraph, degrees, laplacian,
-                     load_edge_list, shifted_pair, signed_laplacian,
-                     signless_laplacian)
+from .graphs import (KernelBasis, ShiftConfig, SignedGraph, degrees,
+                     laplacian, load_edge_list, pencil_kernels, shifted_pair,
+                     signed_laplacian, signless_laplacian)
 from .pcg import pcg_solve
 from .precond import IcPreconditioner, incomplete_cholesky, jacobi
 from .sbm import (SbmParams, conditions, corollary_bound, expected_graph,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClusterLabels", "ConvergenceError", "EdgeListParseError", "EigenPair",
-    "IcPreconditioner", "IndefiniteOperatorError", "ORACLE_CAP",
+    "IcPreconditioner", "IndefiniteOperatorError", "KernelBasis", "ORACLE_CAP",
     "PencilOperator", "SbmParams", "ShiftConfig", "SignedGraph",
     "SparseSymMatrix", "a_orthonormalize", "apply_geometric_mean",
     "clustering_error", "conditions", "corollary_bound",
@@ -44,8 +44,8 @@ __all__ = [
     "eksm_apply_inv_sqrt", "expected_graph", "expected_spectrum",
     "incomplete_cholesky", "indicator_basis", "jacobi", "kfn_neg_graph",
     "kmeans", "knn_pos_graph", "laplacian", "load_edge_list",
-    "matrix_smallest_k_eigenpairs", "pcg_solve", "region_fraction", "sample",
-    "shifted_pair", "signed_laplacian", "signless_laplacian",
-    "smallest_eigenpairs", "smallest_k_eigenpairs", "spectral_cluster",
-    "two_cluster_benchmark_graph",
+    "matrix_smallest_k_eigenpairs", "pcg_solve", "pencil_kernels",
+    "region_fraction", "sample", "shifted_pair", "signed_laplacian",
+    "signless_laplacian", "smallest_eigenpairs", "smallest_k_eigenpairs",
+    "spectral_cluster", "two_cluster_benchmark_graph",
 ]

@@ -15,7 +15,8 @@ from .csr import SparseSymMatrix
 from .errors import ConvergenceError
 from .geomean import (PencilOperator, matrix_smallest_k_eigenpairs,
                       smallest_k_eigenpairs)
-from .graphs import ShiftConfig, shifted_pair, signed_laplacian
+from .graphs import (ShiftConfig, pencil_kernels, shifted_pair,
+                     signed_laplacian)
 
 METHODS = ("SN", "BN", "AM", "GM")
 
@@ -192,7 +193,8 @@ def smallest_eigenpairs(g, k, method, shift=None, tol=1e-8, seed=0,
     """The ``k`` smallest eigenpairs of the operator ``method`` names for ``g``.
 
     ``GM`` is the geometric mean of the shifted normalized pair (``shift``,
-    default :class:`ShiftConfig`), solved matrix-free; ``SN``/``BN``/``AM``
+    default :class:`ShiftConfig`), solved matrix-free with inner solves
+    deflated by the pair's kernels; ``SN``/``BN``/``AM``
     are explicit matrices (``shift`` is ignored).  ``resid_tol=0`` asks for
     strict per-vector convergence.
     """
@@ -200,8 +202,9 @@ def smallest_eigenpairs(g, k, method, shift=None, tol=1e-8, seed=0,
         raise ValueError(f"method must be one of {METHODS}")
     if method == "GM":
         a, b = shifted_pair(g, shift if shift is not None else ShiftConfig())
-        return smallest_k_eigenpairs(PencilOperator(a, b), k, tol=tol,
-                                     seed=seed, resid_tol=resid_tol)
+        pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
+        return smallest_k_eigenpairs(pencil, k, tol=tol, seed=seed,
+                                     resid_tol=resid_tol)
     return matrix_smallest_k_eigenpairs(
         signed_laplacian(g, method), k, definite=method != "BN", tol=tol,
         seed=seed, resid_tol=resid_tol,

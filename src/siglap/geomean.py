@@ -11,12 +11,19 @@ operands are sparse, so it is never formed.  Instead:
 * the smallest eigenpairs then come from inverse power iteration with
   Euclidean deflation against previously found vectors.
 
-Every inner system of the pencil (with ``A`` or with ``B``) is solved by
-conjugate gradients with a Jacobi (diagonal) preconditioner.  IC(0) was
-measured and does not pay there: without numba its pure-Python triangular
-solves took 94% of a two-cluster GM call (n = 80), while it left the ``A``
-iteration count unchanged (2911 against 2681 with Jacobi) and only halved the
-``B`` count.  The explicit-matrix path below still builds IC(0) for its one
+Every inner system of the pencil (with ``A`` or with ``B``) is solved on the
+complement of known eigenvectors and exactly on their span.  For the shifted
+pair of a signed graph these are the kernels of ``Lsym+`` and ``Qsym-``
+(:func:`siglap.graphs.pencil_kernels`), the eigenvectors of ``A`` and ``B``
+with eigenvalues ``eps1`` and ``eps2`` that make both ill conditioned.
+Deflated CG (Saad, Yeung, Erhel & Guyomarc'h, SISC 21(5), 2000) then only
+sees the spectrum off the kernels, so its iteration count does not depend on
+the shifts.  It runs without a preconditioner: the diagonals of ``Lsym+`` and
+``Qsym-`` are 1 at every vertex of positive degree, so Jacobi would only
+scale by ``1 / (1 + eps)``, and the ``eps``-only rows of isolated vertices
+are kernel vectors, solved exactly.  IC(0) does not pay there either: without
+numba its pure-Python triangular solves took 94% of a two-cluster GM call
+(n = 80).  The explicit-matrix path below still builds IC(0) for its one
 shifted matrix.
 
 One deflated inverse iteration serves both entry points:
@@ -26,6 +33,7 @@ arithmetic-mean style operators of the clustering front end).  Each supplies
 only the operator and its inverse.
 """
 
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -34,8 +42,9 @@ import numpy as np
 from ._util import as_seed_sequence
 from .densela import dense_sym_eig
 from .errors import ConvergenceError, IndefiniteOperatorError
+from .graphs import KernelBasis
 from .pcg import pcg_solve
-from .precond import incomplete_cholesky, jacobi
+from .precond import incomplete_cholesky
 
 DEFAULT_EKSM_TOL = 1e-10
 DEFAULT_PCG_TOL = 1e-10
@@ -47,21 +56,25 @@ MATRIX_SHIFT = 1e-6
 
 
 class PencilOperator:
-    """Immutable SPD operator pair with Jacobi preconditioners built once.
+    """Immutable SPD operator pair whose inner solves are deflated.
 
-    ``pc_a`` and ``pc_b`` scale by the inverse diagonals of ``A`` and ``B``.
-    Jacobi is exact on diagonal operators and rescales the ``eps1``-only rows
-    that isolated vertices leave in ``A``; IC(0) cut the ``B`` iterations by
-    half but, in pure Python, cost far more per application than it saved.
+    ``kernels`` is a pair of :class:`~siglap.graphs.KernelBasis`, eigenvectors
+    of ``A`` and of ``B`` (default: none).  ``solve_a`` splits the right-hand
+    side ``r`` into ``Z Z' r``, solved exactly as ``Z diag(lambda)^-1 Z' r``,
+    and the rest, solved by unpreconditioned CG; likewise ``solve_b``.  The
+    eigenvalues ``lambda`` are the Rayleigh quotients of the basis vectors,
+    so the same code serves any shifts, and an empty basis is plain CG.
     """
 
-    def __init__(self, a, b, pcg_tol=None):
+    def __init__(self, a, b, pcg_tol=None, kernels=None):
         if a.n != b.n:
             raise ValueError("operator pair must share the vertex set")
         self.a = a
         self.b = b
-        self.pc_a = jacobi(a)
-        self.pc_b = jacobi(b)
+        self.kernel_a, self.kernel_b = kernels or (KernelBasis.empty(a.n),
+                                                   KernelBasis.empty(a.n))
+        self._values_a = _kernel_values(a, self.kernel_a)
+        self._values_b = _kernel_values(b, self.kernel_b)
         self.pcg_tol = DEFAULT_PCG_TOL if pcg_tol is None else pcg_tol
 
     @property
@@ -75,10 +88,29 @@ class PencilOperator:
         return self.b.matvec(x)
 
     def solve_a(self, rhs):
-        return pcg_solve(self.a, rhs, self.pc_a, tol=self.pcg_tol)[0]
+        return _deflated_solve(self.a, self.kernel_a, self._values_a, rhs,
+                               self.pcg_tol)
 
     def solve_b(self, rhs):
-        return pcg_solve(self.b, rhs, self.pc_b, tol=self.pcg_tol)[0]
+        return _deflated_solve(self.b, self.kernel_b, self._values_b, rhs,
+                               self.pcg_tol)
+
+
+def _kernel_values(m, kernel):
+    # the supports are disjoint, so one product with the sum of the basis
+    # vectors gives every Rayleigh quotient
+    values = kernel.coefficients(m.matvec(kernel.entries))
+    if np.any(values <= 0.0):
+        raise IndefiniteOperatorError("kernel basis has a non-positive Rayleigh quotient")
+    return values
+
+
+def _deflated_solve(m, kernel, values, rhs, tol):
+    # m maps the complement of the basis's span to itself, so CG there never
+    # meets the small eigenvalues, and the span is solved exactly
+    c = kernel.coefficients(rhs)
+    x = pcg_solve(m, rhs - kernel.combine(c), tol=tol)[0]
+    return x + kernel.combine(c / values)
 
 
 def a_orthonormalize(basis, w, apply_a, a_basis=None, breakdown_rtol=1e-12):
@@ -373,9 +405,12 @@ def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL,
     One outer step applies ``(A # B)^-1`` as a sparse solve with ``A``
     followed by the Krylov inverse square root; values and residuals are
     measured with ``A # B`` applied matrix-free.  The Krylov tolerance is
-    tied to ``tol``; the pencil's own ``pcg_tol`` governs the inner solves.
+    tied to ``tol``, and so is the pencil's ``pcg_tol`` where it is looser.
     """
     eksm_tol = _inner_tol(tol)
+    if eksm_tol < pencil.pcg_tol:
+        pencil = copy.copy(pencil)
+        pencil.pcg_tol = eksm_tol
 
     def inv_apply(x):
         return eksm_apply_inv_sqrt(pencil, pencil.solve_a(x), tol=eksm_tol).x

@@ -17,12 +17,20 @@ kind    operator
 
 Degree-zero vertices get a zero row in every normalized operator (their
 ``D^-1/2`` entry is defined as 0).
+
+:func:`pencil_kernels` gives the kernels of the two normalized operators in
+closed form: ``Lsym+`` vanishes on ``D+^1/2 1_C`` for each connected component
+``C`` of ``W+``, and ``Qsym-`` on ``D-^1/2 s`` for each bipartite component of
+``W-``, where ``s = +-1`` marks its two sides.  A vertex isolated in ``W+`` or
+``W-`` has a zero row there and is its own component, with kernel vector
+``e_i``.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .csr import SparseSymMatrix
 from .errors import EdgeListParseError
@@ -132,6 +140,83 @@ def shifted_pair(g, shift):
     a = laplacian(g.w_plus, normalized=True).add_diagonal(shift.eps1)
     b = signless_laplacian(g.w_minus, normalized=True).add_diagonal(shift.eps2)
     return a, b
+
+
+@dataclass(frozen=True)
+class KernelBasis:
+    """Orthonormal vectors with disjoint supports, stored per vertex.
+
+    Vertex ``i`` lies in the support of vector ``ids[i]`` with entry
+    ``entries[i]``, or in none when ``ids[i] == -1`` (its entry is then 0).
+    So ``Z' v`` is one ``bincount`` and ``Z c`` one gather, both O(n) however
+    many vectors there are; the dense ``n x count`` matrix is never built.
+    """
+
+    ids: np.ndarray
+    entries: np.ndarray
+    count: int
+
+    @classmethod
+    def empty(cls, n):
+        return cls(ids=np.full(n, -1), entries=np.zeros(n), count=0)
+
+    def coefficients(self, v):
+        """``Z' v``."""
+        return np.bincount(self.ids + 1, weights=self.entries * v,
+                           minlength=self.count + 1)[1:]
+
+    def combine(self, c):
+        """``Z c``."""
+        # id -1 picks the appended 0; its entry is 0 anyway
+        return self.entries * np.append(c, 0.0)[self.ids]
+
+
+def _kernel_basis(labels, signs, d):
+    # one unit vector per label >= 0, proportional to signs * D^1/2 on its
+    # support; a degree-0 vertex is a singleton, so its vector is e_i
+    on = labels >= 0
+    ids = np.full(labels.shape, -1)
+    ids[on] = np.unique(labels[on], return_inverse=True)[1]
+    count = int(ids.max(initial=-1)) + 1
+    entries = np.where(on, signs * np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
+    norms = np.sqrt(np.bincount(ids[on], weights=entries[on] ** 2, minlength=count))
+    entries[on] /= norms[ids[on]]
+    return KernelBasis(ids=ids, entries=entries, count=count)
+
+
+def pencil_kernels(g):
+    """Kernel bases ``(of Lsym+, of Qsym-)``, as :class:`KernelBasis`.
+
+    These are the eigenvectors of the :func:`shifted_pair` with eigenvalues
+    ``eps1`` and ``eps2`` (see the module docstring).  Every bipartite
+    component of ``W-`` comes from one connected-components pass over its
+    double cover, the graph on ``2n`` vertices with edges ``(u, v + n)`` and
+    ``(u + n, v)``: a component is bipartite exactly when ``u`` and ``u + n``
+    land in different components, and which of the two holds ``u`` gives its
+    side.
+    """
+    # imported here: csgraph loads all of scipy.sparse.linalg (about 2 MB of
+    # resident memory), which the explicit-matrix methods never need
+    from scipy.sparse.csgraph import connected_components
+
+    n = g.n
+
+    def edges(w):
+        adj = w.to_scipy()
+        adj.eliminate_zeros()
+        return adj
+
+    plus = connected_components(edges(g.w_plus), directed=False)[1]
+    kernel_a = _kernel_basis(plus, 1.0, g.w_plus.row_sums())
+
+    minus = edges(g.w_minus)
+    cover = sp.block_array([[None, minus], [minus, None]], format="csr")
+    lab = connected_components(cover, directed=False)[1]
+    lo, hi = lab[:n], lab[n:]
+    kernel_b = _kernel_basis(np.where(lo != hi, np.minimum(lo, hi), -1),
+                             np.where(lo < hi, 1.0, -1.0),
+                             g.w_minus.row_sums())
+    return kernel_a, kernel_b
 
 
 def load_edge_list(path, n=None):

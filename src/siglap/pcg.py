@@ -11,10 +11,11 @@ def _as_apply(operator):
     return operator.matvec
 
 
-def pcg_solve(apply_m, b, preconditioner=None, tol=1e-10, max_iter=None, x0=None):
+def pcg_solve(apply_m, b, preconditioner=None, tol=1e-10, max_iter=None):
     """Solve ``M x = b`` for SPD ``M`` given as a matrix or a callable.
 
-    Iterates until ``||M x - b|| <= tol * ||b||``.  Returns ``(x, iterations)``.
+    Starts from ``x = 0`` and iterates until ``||M x - b|| <= tol * ||b||``.
+    Returns ``(x, iterations)``.
 
     Raises
     ------
@@ -36,17 +37,12 @@ def pcg_solve(apply_m, b, preconditioner=None, tol=1e-10, max_iter=None, x0=None
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros_like(b), 0
+    # plain CG tests r.r, which it needs for the next step anyway
+    stop_sq = (tol * b_norm) ** 2
 
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=np.float64)
-        r = b - apply_m(x)
-    if np.linalg.norm(r) <= tol * b_norm:
-        return x, 0
-
-    z = preconditioner.solve(r) if preconditioner is not None else r.copy()
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = preconditioner.solve(r) if preconditioner is not None else r
     p = z.copy()
     rz = float(r @ z)
     if rz <= 0.0:
@@ -62,12 +58,19 @@ def pcg_solve(apply_m, b, preconditioner=None, tol=1e-10, max_iter=None, x0=None
         alpha = rz / p_mp
         x += alpha * p
         r -= alpha * mp
-        if np.linalg.norm(r) <= tol * b_norm:
-            return x, k
-        z = preconditioner.solve(r) if preconditioner is not None else r
-        rz_new = float(r @ z)
-        if rz_new <= 0.0:
-            raise IndefiniteOperatorError("preconditioner produced a non-positive inner product")
+        if preconditioner is None:
+            rz_new = float(r @ r)
+            if rz_new <= stop_sq:
+                return x, k
+            z = r
+        else:
+            if np.linalg.norm(r) <= tol * b_norm:
+                return x, k
+            z = preconditioner.solve(r)
+            rz_new = float(r @ z)
+            if rz_new <= 0.0:
+                raise IndefiniteOperatorError(
+                    "preconditioner produced a non-positive inner product")
         beta = rz_new / rz
         p = z + beta * p
         rz = rz_new

@@ -7,9 +7,11 @@ instead of failing or shifting; the chosen kind is recorded on the result.
 Factorization and the two triangular solves are numba-compiled, with
 plain-Python fallbacks when numba is unavailable.
 
-IC(0)'s only remaining caller is the explicit-matrix eigensolver
-(:func:`siglap.geomean.matrix_smallest_k_eigenpairs`); the geometric-mean
-pencil uses :func:`jacobi`.
+IC(0)'s only caller is the explicit-matrix eigensolver
+(:func:`siglap.geomean.matrix_smallest_k_eigenpairs`), and :func:`jacobi` is
+left only as its fallback.  The geometric-mean pencil needs neither: its
+inner solves are deflated by the kernels of ``Lsym+`` and ``Qsym-`` and run
+unpreconditioned (see :mod:`siglap.geomean`).
 """
 
 import numpy as np

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from siglap import (ConvergenceError, PencilOperator, ShiftConfig,
-                    SparseSymMatrix, a_orthonormalize, apply_geometric_mean,
+from siglap import (ConvergenceError, IndefiniteOperatorError, KernelBasis,
+                    PencilOperator, ShiftConfig, SparseSymMatrix,
+                    a_orthonormalize, apply_geometric_mean,
                     dense_geometric_mean, dense_sym_eig, eksm_apply_inv_sqrt,
-                    matrix_smallest_k_eigenpairs, shifted_pair,
-                    smallest_k_eigenpairs)
+                    geomean, matrix_smallest_k_eigenpairs, shifted_pair,
+                    smallest_eigenpairs, smallest_k_eigenpairs)
 from siglap.densela import pencil_inv_sqrt_apply, subspace_angle
-from siglap.graphs import SignedGraph, signed_laplacian
+from siglap.graphs import (SignedGraph, laplacian, pencil_kernels,
+                           signed_laplacian, signless_laplacian)
 from siglap.sbm import (SbmParams, conditions, expected_graph, indicator_basis,
-                        sample)
+                        sample, two_cluster_benchmark_graph)
 
 
 def sbm_graph(n_half, seed, **kw):
@@ -24,12 +26,36 @@ def sbm_pencil(n_half, seed, shift=ShiftConfig(1e-4, 1e-4), pcg_tol=1e-10, **kw)
     return PencilOperator(a, b, pcg_tol=pcg_tol)
 
 
-def isolate_vertex(g, v):
-    """``g`` with every ``W+`` edge at vertex ``v`` removed."""
-    wp = g.w_plus.to_dense()
-    wp[v, :] = 0.0
-    wp[:, v] = 0.0
-    return SignedGraph(w_plus=SparseSymMatrix.from_dense(wp), w_minus=g.w_minus)
+def isolate_vertex(g, v, plus=True, minus=False):
+    """``g`` with every ``W+`` edge, and with ``minus`` every ``W-`` edge, at
+    vertex ``v`` removed."""
+    def cut(w, on):
+        if not on:
+            return w
+        d = w.to_dense()
+        d[v, :] = 0.0
+        d[:, v] = 0.0
+        return SparseSymMatrix.from_dense(d)
+
+    return SignedGraph(w_plus=cut(g.w_plus, plus), w_minus=cut(g.w_minus, minus))
+
+
+def two_cluster(seed=3):
+    # W+ has one component per cluster, W- is connected and bipartite
+    return two_cluster_benchmark_graph(40, 12, seed)[0]
+
+
+def bipartite_minus(seed=31):
+    return sample(SbmParams(2, 20, 0.4, 0.08, 0.0, 0.4), seed=seed)
+
+
+def empty_minus(seed=32):
+    return sample(SbmParams(2, 20, 0.4, 0.08, 0.0, 0.0), seed=seed)
+
+
+def dense_basis(kernel):
+    cols = [kernel.combine(e) for e in np.eye(kernel.count)]
+    return np.array(cols).reshape(kernel.count, kernel.ids.size).T
 
 
 def dense_pair(pencil):
@@ -287,11 +313,6 @@ class TestSmallestK:
 
 
 class TestJacobiPencil:
-    def test_pencil_preconditioners_are_diagonal(self):
-        pencil = sbm_pencil(10, seed=1)
-        assert pencil.pc_a.kind == "diagonal"
-        assert pencil.pc_b.kind == "diagonal"
-
     @pytest.mark.parametrize("isolated", [False, True])
     def test_smallest_pairs_match_dense_oracle(self, isolated):
         g = sbm_graph(20, seed=23)
@@ -299,6 +320,108 @@ class TestJacobiPencil:
             g = isolate_vertex(g, 0)
         a, b = shifted_pair(g, ShiftConfig(1e-4, 1e-4))
         pairs = smallest_k_eigenpairs(PencilOperator(a, b), 2, tol=1e-10)
+        w, v = dense_sym_eig(dense_geometric_mean(a.to_dense(), b.to_dense()))
+        vals = np.array([p.value for p in pairs])
+        assert np.all(np.abs(vals - w[:2]) <= 1e-6 * np.abs(w[:2]))
+        span = np.column_stack([p.vector for p in pairs])
+        assert subspace_angle(span, v[:, :2]) <= 1e-5
+
+
+KERNEL_CASES = {
+    "two-cluster": (two_cluster, (2, 1)),
+    "isolated-plus": (lambda: isolate_vertex(two_cluster(), 0), (3, 1)),
+    "isolated-minus": (lambda: isolate_vertex(two_cluster(), 0, plus=False,
+                                              minus=True), (2, 2)),
+    "empty-minus": (empty_minus, (1, 40)),
+    "non-bipartite-minus": (lambda: sbm_graph(20, seed=33), (1, 0)),
+}
+
+
+@pytest.fixture
+def pcg_iterations(monkeypatch):
+    """The iteration counts of every ``pcg_solve`` the pencil makes."""
+    counts = []
+    pcg = geomean.pcg_solve
+
+    def counting(*args, **kw):
+        out = pcg(*args, **kw)
+        counts.append(out[1])
+        return out
+
+    monkeypatch.setattr(geomean, "pcg_solve", counting)
+    return counts
+
+
+class TestPencilKernels:
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_kernels_are_orthonormal_eigenvectors(self, case):
+        make, counts = KERNEL_CASES[case]
+        g = make()
+        shift = ShiftConfig(1e-6, 1e-6)
+        a, b = shifted_pair(g, shift)
+        ops = (laplacian(g.w_plus, normalized=True),
+               signless_laplacian(g.w_minus, normalized=True))
+        for kernel, op, m, eps, count in zip(pencil_kernels(g), ops, (a, b),
+                                             (shift.eps1, shift.eps2), counts):
+            assert kernel.count == count
+            assert np.count_nonzero(np.linalg.eigvalsh(op.to_dense()) < 1e-12) == count
+            z = dense_basis(kernel)
+            assert np.abs(z.T @ z - np.eye(count)).max(initial=0.0) <= 1e-12
+            assert np.abs(m.matmat(z) - eps * z).max(initial=0.0) <= 1e-12
+
+    def test_empty_minus_solves_b_without_cg(self, pcg_iterations):
+        g = empty_minus()
+        a, b = shifted_pair(g, ShiftConfig(1e-4, 1e-4))
+        pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
+        rhs = np.random.default_rng(32).standard_normal(g.n)
+        np.testing.assert_allclose(pencil.solve_b(rhs), rhs / 1e-4, rtol=1e-12)
+        assert pcg_iterations == [0]
+
+    def test_indefinite_kernel_rejected(self):
+        kernel = KernelBasis(ids=np.array([0, -1]), entries=np.array([1.0, 0.0]),
+                             count=1)
+        with pytest.raises(IndefiniteOperatorError, match="Rayleigh"):
+            PencilOperator(SparseSymMatrix.diagonal([-1.0, 1.0]),
+                           SparseSymMatrix.identity(2),
+                           kernels=(kernel, KernelBasis.empty(2)))
+
+    def test_inner_iterations_do_not_depend_on_the_shift(self, pcg_iterations):
+        g = two_cluster()
+        rhs = np.random.default_rng(35).standard_normal(g.n)
+        for eps in (1e-6, 1e-10):
+            a, b = shifted_pair(g, ShiftConfig(eps, eps))
+            pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
+            pencil.solve_a(rhs)
+            pencil.solve_b(rhs)
+        assert pcg_iterations[:2] == pcg_iterations[2:]
+
+    @pytest.mark.parametrize("case", ["two-cluster", "isolated-plus",
+                                      "non-bipartite-minus"])
+    def test_deflated_solves_match_dense(self, case):
+        g = KERNEL_CASES[case][0]()
+        a, b = shifted_pair(g, ShiftConfig(1e-6, 1e-6))
+        pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
+        rhs = np.random.default_rng(34).standard_normal(g.n)
+        for solve, m in ((pencil.solve_a, a), (pencil.solve_b, b)):
+            x = np.linalg.solve(m.to_dense(), rhs)
+            assert np.linalg.norm(solve(rhs) - x) <= 1e-9 * np.linalg.norm(x)
+
+
+GM_HARD_CASES = {
+    "bipartite-minus": bipartite_minus,
+    "disconnected-plus": two_cluster,
+    "empty-minus": empty_minus,
+    "isolated-in-both": lambda: isolate_vertex(bipartite_minus(), 0, minus=True),
+}
+
+
+class TestGmHardCases:
+    @pytest.mark.parametrize("case", GM_HARD_CASES)
+    def test_smallest_pairs_match_dense_oracle(self, case):
+        g = GM_HARD_CASES[case]()
+        shift = ShiftConfig(1e-4, 1e-4)
+        pairs = smallest_eigenpairs(g, 2, "GM", shift=shift, tol=1e-8)
+        a, b = shifted_pair(g, shift)
         w, v = dense_sym_eig(dense_geometric_mean(a.to_dense(), b.to_dense()))
         vals = np.array([p.value for p in pairs])
         assert np.all(np.abs(vals - w[:2]) <= 1e-6 * np.abs(w[:2]))

@@ -81,7 +81,8 @@ def _add_common(parser):
                         help="diagonal shift on the normalized positive Laplacian")
     parser.add_argument("--shift-eps2", type=float, default=1e-6,
                         help="diagonal shift on the normalized signless negative Laplacian")
-    parser.add_argument("--kmeans-restarts", type=int, default=10)
+    parser.add_argument("--kmeans-restarts", type=_positive_int(1), default=10,
+                        help="k-means runs from fresh seeds; the best is kept")
 
 
 def _sbm_params(args):

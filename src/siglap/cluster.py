@@ -102,6 +102,8 @@ def kmeans(points, k, restarts=10, seed=0, max_iter=300, rtol=1e-9):
     n = points.shape[0]
     if n < k:
         raise ValueError(f"need at least k={k} points, got {n}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     best = None
     for child in as_seed_sequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)

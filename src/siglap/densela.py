@@ -7,7 +7,6 @@ they build themselves.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IndefiniteOperatorError
 
@@ -97,6 +96,10 @@ def geometric_mean_representations(a, b):
     which is a computation path independent of :func:`dense_geometric_mean`;
     agreement between the five values is a library acceptance check.
     """
+    # imported here: nothing else in the package needs scipy.linalg, and
+    # loading it made up about a quarter of the time of `import siglap`
+    import scipy.linalg
+
     a = check_symmetric(a)
     b = check_symmetric(b)
     _check_cap(a)

@@ -7,7 +7,9 @@ operands are sparse, so it is never formed.  Instead:
   solve followed by an inverse-square-root application;
 * ``(A^-1 B)^-1/2 y`` is approximated in an extended Krylov subspace
   ``span{y, My, M^-1 y, M^2 y, ...}`` of ``M = A^-1 B``, built with the inner
-  product ``<u, v> = u' A v`` so the projected matrix is simply ``V' B V``;
+  product ``<u, v> = u' A v`` so the projected matrix is simply ``V' B V``.
+  It grows until successive approximants agree to the tolerance or, at small
+  shifts, until they stop improving at the floor that rounding sets;
 * the smallest eigenpairs then come from inverse power iteration with
   Euclidean deflation against previously found vectors.
 
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_seed_sequence
-from .densela import dense_sym_eig
 from .errors import ConvergenceError, IndefiniteOperatorError
 from .graphs import KernelBasis
 from .pcg import pcg_solve
@@ -158,22 +159,41 @@ class EksmState:
 
 @dataclass
 class EksmResult:
+    """Converged extended Krylov approximant and the rule that stopped it.
+
+    ``stop`` is ``"tol"`` (the successive difference reached ``tol``),
+    ``"floor"`` (it stalled at the rounding floor, see
+    :func:`eksm_apply_inv_sqrt`) or ``"invariant"`` (both chains closed on an
+    invariant subspace).  ``delta`` is the last measured relative A-norm
+    difference of successive approximants, ``nan`` if the subspace closed
+    before a second approximant existed.
+    """
+
     x: np.ndarray
-    converged: bool
     s: int
     delta: float
+    stop: str
     state: EksmState
     history: list
 
 
 def _projected_inv_sqrt_e1(h, scale):
-    w, v = dense_sym_eig(h)
-    if w[0] <= 0.0:
+    # The eigenvalues of h spread like those of M, over about
+    # 4 / (eps1 eps2) for a signed graph's shifted pair, and the small ones
+    # dominate h^-1/2.  An eigensolve of h gets an eigenvalue lam to about
+    # u ||h||; the singular values sigma of its Cholesky factor
+    # (h = L L' = U diag(sigma)^2 U') get it to about u sqrt(||h|| lam),
+    # sqrt(cond(h)) times closer for the smallest.
+    try:
+        chol = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
         raise IndefiniteOperatorError(
-            f"projected matrix is not positive definite (min eigenvalue {w[0]:.3e}); "
-            "the operator pair is not a positive definite pencil"
-        )
-    return v @ ((v[0, :] / np.sqrt(w)) * scale)
+            "projected matrix is not positive definite in floating point "
+            f"(Cholesky fails; smallest eigenvalue {np.linalg.eigvalsh(h)[0]:.3e}): "
+            "the operator pair is indefinite or too ill conditioned"
+        ) from None
+    u, sigma, _ = np.linalg.svd(chol)
+    return u @ ((u[0, :] / sigma) * scale)
 
 
 def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60,
@@ -182,9 +202,22 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60,
 
     Each iteration appends (up to) two A-orthonormal basis vectors, one from
     the ``M``-power chain and one from the ``M^-1`` chain, then evaluates the
-    inverse square root of the projected matrix.  Stops when the relative
-    A-norm difference of successive approximants drops below ``tol``, or
-    exactly when both chains close on an invariant subspace.
+    inverse square root of the projected matrix.  Three rules stop it, and
+    :attr:`EksmResult.stop` names the one that did:
+
+    * ``"tol"``: the relative A-norm difference ``delta`` of successive
+      approximants drops to ``tol``;
+    * ``"floor"``: ``delta`` has been at most ``sqrt(tol)`` for two steps and
+      then fails to halve.  The approximant before that step is returned.
+      Rounding, amplified by the spread of the spectrum of ``M`` (about
+      ``4 / (eps1 eps2)`` for the shifted pair of a signed graph), stops the
+      approximants improving at a floor that can lie above ``tol`` at small
+      shifts.  On two-cluster graphs with n = 80, the value ``x' (A # B) x``
+      they give at an eigenvector is off by about 2e-8 relative at shifts
+      of 1e-6 and 4e-5 at 1e-8.  Past the floor each step only adds noise
+      of that size;
+    * ``"invariant"``: both chains close on an invariant subspace, where the
+      approximant is exact.
 
     Raises :class:`ConvergenceError` after ``max_s`` iterations (the last
     iterate and gap travel with the exception) and
@@ -210,8 +243,9 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60,
     u_alive = v_alive = True
     prev_coef = None
     coef = None
-    delta = np.inf
-    converged = False
+    last = delta = np.nan
+    floor_level = np.sqrt(tol)
+    stop = None
     history = []
 
     def append(w):
@@ -242,7 +276,10 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60,
             else:
                 v_idx = idx
 
-        exact = not u_alive and not v_alive
+        if not u_alive and not v_alive:
+            # nothing was appended: the last approximant is final
+            stop = "invariant"
+            break
         h = basis.T @ b_basis
         h = 0.5 * (h + h.T)
         coef = _projected_inv_sqrt_e1(h, y_anorm)
@@ -251,13 +288,17 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60,
         if prev_coef is not None:
             diff = coef.copy()
             diff[: prev_coef.shape[0]] -= prev_coef
+            older, last = last, delta
             delta = float(np.linalg.norm(diff) / np.linalg.norm(prev_coef))
             if delta <= tol:
-                converged = True
-        if exact:
-            converged = True
-            delta = 0.0
-        if converged:
+                stop = "tol"
+            elif (older <= floor_level and last <= floor_level
+                  and delta > 0.5 * last):
+                # the previous approximant had settled; this step only
+                # added rounding noise, so that approximant is kept
+                stop = "floor"
+                coef = prev_coef
+        if stop is not None:
             break
         prev_coef = coef
         if u_alive:
@@ -265,19 +306,19 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60,
         if v_alive:
             v = pencil.solve_b(a_basis[:, v_idx])
 
-    x = basis @ coef
+    x = basis[:, :coef.shape[0]] @ coef
     state = EksmState(basis=basis, projected=h, s=s)
-    if not converged:
+    if stop is None:
         err = ConvergenceError(
-            f"extended Krylov iteration did not reach tol={tol:g} within "
-            f"{max_s} iterations (last gap {delta:.3e})",
+            f"extended Krylov iteration did not reach tol={tol:g} or its "
+            f"floor within {max_s} iterations (last gap {delta:.3e})",
             iterate=x,
             residual=delta,
             iterations=s,
         )
         err.state = state
         raise err
-    return EksmResult(x=x, converged=True, s=s, delta=delta, state=state,
+    return EksmResult(x=x, s=s, delta=delta, stop=stop, state=state,
                       history=history)
 
 

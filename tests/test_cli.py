@@ -62,6 +62,15 @@ class TestSbmCluster:
         median = [r for r in rows if r[1] == "median"][0]
         assert float(median[3]) == 0.0
 
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    def test_kmeans_restarts_below_one_is_usage_error(self, restarts):
+        with pytest.raises(SystemExit) as exc:
+            main(["sbm-cluster", "--k", "2", "--cluster-size", "5",
+                  "--p-in-plus", "1.0", "--p-out-plus", "0.0",
+                  "--p-in-minus", "0.0", "--p-out-minus", "1.0",
+                  "--kmeans-restarts", restarts])
+        assert exc.value.code == 2
+
     def test_threaded_sweep_matches_serial(self, tmp_path):
         argv = ["sbm-cluster", "--k", "2", "--cluster-size", "15",
                 "--p-in-plus", "0.8", "--p-out-plus", "0.1",

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from siglap import (ClusterLabels, ShiftConfig, SignedGraph, SparseSymMatrix,
-                    clustering_error, kfn_neg_graph, kmeans, knn_pos_graph,
-                    smallest_eigenpairs, spectral_cluster)
+                    clustering_error, dense_sym_eig, kfn_neg_graph, kmeans,
+                    knn_pos_graph, signed_laplacian, smallest_eigenpairs,
+                    spectral_cluster)
 from siglap.cluster import METHODS, RESID_TOL, load_labels, load_points
 from siglap.sbm import SbmParams, indicator_basis, sample
 
@@ -46,6 +47,11 @@ class TestKmeans:
     def test_more_clusters_than_points_rejected(self):
         with pytest.raises(ValueError, match="at least"):
             kmeans(np.zeros((2, 1)), 3)
+
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_below_one_rejected(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            kmeans(np.zeros((4, 1)), 2, restarts=restarts)
 
     def test_restarts_never_hurt(self):
         rng = np.random.default_rng(11)
@@ -159,7 +165,7 @@ def two_clique_graph(m=8):
 
 
 class TestSpectralCluster:
-    @pytest.mark.parametrize("method", ["SN", "BN", "AM", "GM"])
+    @pytest.mark.parametrize("method", ["AM", "GM"])
     def test_perfectly_balanced_two_cliques(self, method):
         g, truth = two_clique_graph()
         res = spectral_cluster(g, 2, method=method, seed=0)
@@ -167,6 +173,20 @@ class TestSpectralCluster:
         assert res.embedding.shape == (g.n, 2)
         np.testing.assert_allclose(np.linalg.norm(res.embedding, axis=0),
                                    np.ones(2), atol=1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 9, 17])
+    @pytest.mark.parametrize("method", ["SN", "BN"])
+    def test_two_cliques_first_vector_and_values(self, method, seed):
+        # the second eigenvalue of SN and BN has multiplicity 15 here, so the
+        # second vector, and the labels k-means draws from the embedding,
+        # depend on the seed; the first vector and both values do not
+        g, truth = two_clique_graph()
+        res = spectral_cluster(g, 2, method=method, seed=seed)
+        side = np.sign(res.embedding[:, 0]) * np.sign(res.embedding[0, 0])
+        np.testing.assert_array_equal(side, np.where(truth.labels == 0, 1.0, -1.0))
+        w = dense_sym_eig(signed_laplacian(g, method).to_dense())[0]
+        np.testing.assert_allclose([p.value for p in res.eigenpairs], w[:2],
+                                   atol=1e-8)
 
     def test_balanced_sbm_sample_gm(self):
         params = SbmParams(k=2, cluster_size=50, p_in_plus=1.0, p_out_plus=0.0,

@@ -62,6 +62,28 @@ def dense_pair(pencil):
     return pencil.a.to_dense(), pencil.b.to_dense()
 
 
+def default_shift_pencil(g):
+    """The GM pencil of ``g`` at the default shifts, with its kernels, and the
+    eigenvectors of the dense geometric mean."""
+    a, b = shifted_pair(g, ShiftConfig())
+    pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
+    return pencil, dense_sym_eig(dense_geometric_mean(*dense_pair(pencil)))[1]
+
+
+def mp_inv_sqrt_apply(a, b, ys):
+    """``(a^-1 b)^-1/2 y`` for each column ``y`` of ``ys``, in 34-digit
+    arithmetic: with ``a = L L'`` and ``L^-1 b L^-T = W diag(w) W'`` it is
+    ``L^-T W diag(w)^-1/2 W' L' y``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(34):
+        chol = mpmath.cholesky(mpmath.matrix(a.tolist()))
+        inv = mpmath.inverse(chol)
+        w, v = mpmath.eigsy(inv * mpmath.matrix(b.tolist()) * inv.T)
+        scale = mpmath.diag([1 / mpmath.sqrt(x) for x in w])
+        out = inv.T * (v * (scale * (v.T * (chol.T * mpmath.matrix(ys.tolist())))))
+        return np.array(out.tolist(), dtype=np.float64)
+
+
 class TestAOrthonormalize:
     def test_plain_normalization(self):
         res = a_orthonormalize(None, np.array([3.0, 4.0]), lambda v: v)
@@ -171,6 +193,52 @@ class TestEksm:
             eksm_apply_inv_sqrt(pencil, y, tol=1e-12, max_s=2)
         assert err.value.iterate.shape == (80,)
         assert err.value.residual > 0
+
+    def test_default_shift_inverse_apply_converges_in_few_steps(self):
+        # the projected matrix's eigenvalues span about 4 / eps^2; solved
+        # through eigh it held (A#B)^-1 x1 near 1e-7 here, and the iteration
+        # ran 27 steps
+        pencil, v = default_shift_pencil(two_cluster_benchmark_graph(80, 50, 3)[0])
+        res = eksm_apply_inv_sqrt(pencil, pencil.solve_a(v[:, 0]))
+        assert res.s <= 10
+        assert res.stop == "tol"
+
+    def test_stalled_iteration_stops_at_its_floor(self):
+        # at shifts of 1e-9 the approximants of (A#B)^-1 x2 stop improving
+        # near 1e-9; without the floor rule the iteration runs on until the
+        # subspace fills R^80 (41 steps) and returns the same vector
+        g = two_cluster_benchmark_graph(80, 50, 1)[0]
+        a, b = shifted_pair(g, ShiftConfig(1e-9, 1e-9))
+        pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
+        v = dense_sym_eig(dense_geometric_mean(a.to_dense(), b.to_dense()))[1]
+        y = pencil.solve_a(v[:, 1])
+        res = eksm_apply_inv_sqrt(pencil, y)
+        assert res.s <= 10
+        assert res.stop == "floor"
+        assert res.delta > 0.0
+        full = eksm_apply_inv_sqrt(pencil, y, tol=0.0)  # no tol, no floor
+        assert full.stop == "invariant" and full.s > 30
+        assert np.linalg.norm(res.x - full.x) <= 1e-9 * np.linalg.norm(full.x)
+
+    def test_closer_to_reference_than_dense_float_evaluation(self):
+        # at the default shifts every result must be at least as close to a
+        # 34-digit reference as the dense float64 oracle; an eigensolve of
+        # the projected matrix left errors of 1e-6 to 1e-5 here, above the
+        # oracle's 1.5e-6
+        pencil, v = default_shift_pencil(two_cluster())
+        rng = np.random.default_rng(0)
+        ys = np.column_stack([pencil.solve_a(v[:, 0]), pencil.solve_a(v[:, 1]),
+                              v[:, 0], v[:, 1],
+                              rng.standard_normal((pencil.n, 8))])
+        refs = mp_inv_sqrt_apply(*dense_pair(pencil), ys)
+
+        def error(x, ref):
+            d = x - ref
+            return np.sqrt(d @ pencil.apply_a(d) / (ref @ pencil.apply_a(ref)))
+
+        for y, ref in zip(ys.T, refs.T):
+            dense = pencil_inv_sqrt_apply(*dense_pair(pencil), y)
+            assert error(eksm_apply_inv_sqrt(pencil, y).x, ref) <= error(dense, ref)
 
     def test_zero_vector_rejected(self):
         pencil = sbm_pencil(10, seed=1)

@@ -15,10 +15,17 @@ Subcommands
                  convergence; a cell that runs out of memory or fails
                  numerically gets an ``NA`` row.
 
+Each subcommand takes only the options it reads: ``--out`` everywhere;
+``--seed``, ``--tol``, ``--shift-eps1`` and ``--shift-eps2`` wherever
+eigenvectors are computed (all but ``sbm-region``); ``--kmeans-restarts``
+where they are clustered (``sbm-cluster`` and ``cluster``).
+
 Every CSV starts with a ``#``-prefixed JSON line holding the full run
 configuration; rerunning with the same configuration reproduces the numeric
 columns byte for byte (wall-clock columns excepted).  Exit codes: 0 on
-success, 1 on numerical failure, 2 on usage or I/O errors.
+success, 1 on numerical failure, 2 on usage or I/O errors, including input
+the library rejects with a ``ValueError`` (too many clusters for the graph,
+a truth file of the wrong length, a probability above 1, ...).
 """
 
 import argparse
@@ -26,7 +33,6 @@ import json
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,7 +40,7 @@ from ._util import as_seed_sequence
 from .cluster import (METHODS, clustering_error, kfn_neg_graph, knn_pos_graph,
                       load_labels, load_points, smallest_eigenpairs,
                       spectral_cluster)
-from .errors import ConvergenceError, EdgeListParseError, IndefiniteOperatorError
+from .errors import ConvergenceError, IndefiniteOperatorError
 from .graphs import ShiftConfig, SignedGraph, load_edge_list
 from .sbm import (CONDITIONINGS, TARGETS, SbmParams, region_fraction,
                   sample, two_cluster_benchmark_graph)
@@ -69,20 +75,26 @@ def _shift(args):
     return ShiftConfig(args.shift_eps1, args.shift_eps2)
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep cells (default 1)")
+def _add_out(parser):
     parser.add_argument("--out", type=str, default=None,
                         help="output CSV path (default: stdout)")
+
+
+def _add_solver(parser, kmeans):
+    """Options of the commands that compute eigenvectors (and, with
+    ``kmeans``, cluster them)."""
+    parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument("--tol", type=float, default=1e-8,
                         help="eigensolver tolerance")
     parser.add_argument("--shift-eps1", type=float, default=1e-6,
-                        help="diagonal shift on the normalized positive Laplacian")
+                        help="diagonal shift on the normalized positive Laplacian (GM)")
     parser.add_argument("--shift-eps2", type=float, default=1e-6,
-                        help="diagonal shift on the normalized signless negative Laplacian")
-    parser.add_argument("--kmeans-restarts", type=_positive_int(1), default=10,
-                        help="k-means runs from fresh seeds; the best is kept")
+                        help="diagonal shift on the normalized signless negative "
+                             "Laplacian (GM)")
+    if kmeans:
+        parser.add_argument("--kmeans-restarts", type=_positive_int(1), default=10,
+                            help="k-means runs from fresh seeds; the best is kept")
+    _add_out(parser)
 
 
 def _sbm_params(args):
@@ -129,32 +141,19 @@ def cmd_sbm_cluster(args):
     params = _sbm_params(args)
     truth = np.repeat(np.arange(params.k), params.cluster_size)
     run_seeds = as_seed_sequence(args.seed).spawn(args.runs)
-    cells = [(m, r) for m in args.methods for r in range(args.runs)]
-
-    def work(cell):
-        method, r = cell
-        try:
-            err, seconds = _run_one_cluster_cell(params, method, run_seeds[r],
-                                                 args, truth)
-            return (method, r, err, seconds, "ok")
-        except NUMERIC_FAILURES as exc:
-            return (method, r, "NA", "NA", f"failed: {type(exc).__name__}")
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(work, cells))
-    else:
-        results = [work(c) for c in cells]
-
     rows = []
     for method in args.methods:
         errors = []
-        for m, r, err, seconds, status in results:
-            if m != method:
+        for r, run_seed in enumerate(run_seeds):
+            try:
+                err, seconds = _run_one_cluster_cell(params, method, run_seed,
+                                                     args, truth)
+            except NUMERIC_FAILURES as exc:
+                rows.append((method, r, args.seed, "NA", "NA",
+                             f"failed: {type(exc).__name__}"))
                 continue
-            rows.append((method, r, args.seed, err, seconds, status))
-            if status == "ok":
-                errors.append(err)
+            rows.append((method, r, args.seed, err, seconds, "ok"))
+            errors.append(err)
         median = statistics.median(errors) if errors else "NA"
         rows.append((method, "median", args.seed, median, "", ""))
     _write_csv(args.out, _config(args),
@@ -264,7 +263,7 @@ def build_parser():
                    help="conditioning event; repeat for several (default: all four)")
     p.add_argument("--target", action="append", choices=TARGETS,
                    help="target event; repeat for several (default: both)")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_sbm_region)
 
     p = sub.add_parser("sbm-cluster",
@@ -277,8 +276,9 @@ def build_parser():
     p.add_argument("--p-out-minus", type=float, required=True)
     p.add_argument("--methods", type=_methods_list, default=METHODS,
                    help="comma-separated subset of SN,BN,AM,GM")
-    p.add_argument("--runs", type=_positive_int(1), default=50)
-    _add_common(p)
+    p.add_argument("--runs", type=_positive_int(1), default=50,
+                   help="sampled graphs per method")
+    _add_solver(p, kmeans=True)
     p.set_defaults(func=cmd_sbm_cluster)
 
     p = sub.add_parser("cluster", help="cluster one signed graph")
@@ -298,7 +298,7 @@ def build_parser():
                    help="ground-truth labels file, one integer per row")
     p.add_argument("--labels-out", type=str, default=None,
                    help="write the labels JSON here instead of stdout")
-    _add_common(p)
+    _add_solver(p, kmeans=True)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser(
@@ -310,10 +310,13 @@ def build_parser():
     )
     p.add_argument("--n", type=_positive_int(2), action="append", required=True,
                    help="graph size; repeat for several, ascending")
-    p.add_argument("--avg-degree", type=float, default=50.0)
-    p.add_argument("--methods", type=_methods_list, default=("SN", "GM"))
-    p.add_argument("--repetitions", type=_positive_int(1), default=10)
-    _add_common(p)
+    p.add_argument("--avg-degree", type=float, default=50.0,
+                   help="expected vertex degree, half positive, half negative")
+    p.add_argument("--methods", type=_methods_list, default=("SN", "GM"),
+                   help="comma-separated subset of SN,BN,AM,GM")
+    p.add_argument("--repetitions", type=_positive_int(1), default=10,
+                   help="timed solves per cell; the median is reported")
+    _add_solver(p, kmeans=False)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -324,15 +327,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, EdgeListParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError is a ValueError, so numerical failures are caught first
     except NUMERIC_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    except (UsageError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint():

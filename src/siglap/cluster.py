@@ -19,6 +19,10 @@ from .graphs import (ShiftConfig, pencil_kernels, shifted_pair,
                      signed_laplacian)
 
 METHODS = ("SN", "BN", "AM", "GM")
+# Lloyd's iteration stops when the objective falls by at most a fraction
+# KMEANS_RTOL in one step, or after KMEANS_MAX_ITER steps
+KMEANS_MAX_ITER = 300
+KMEANS_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,10 +69,10 @@ def _plus_plus_seed(points, k, rng):
     return centers
 
 
-def _lloyd(points, centers, max_iter, rtol):
+def _lloyd(points, centers):
     prev = np.inf
     labels = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = (
             np.sum(points**2, axis=1)[:, None]
             - 2.0 * points @ centers.T
@@ -83,14 +87,14 @@ def _lloyd(points, centers, max_iter, rtol):
             mask = labels == c
             if np.any(mask):
                 centers[c] = points[mask].mean(axis=0)
-        if prev - inertia <= rtol * max(prev, 1e-300) or inertia == 0.0:
+        if prev - inertia <= KMEANS_RTOL * max(prev, 1e-300) or inertia == 0.0:
             prev = inertia
             break
         prev = inertia
     return labels, centers, prev
 
 
-def kmeans(points, k, restarts=10, seed=0, max_iter=300, rtol=1e-9):
+def kmeans(points, k, restarts=10, seed=0):
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` runs.
 
     Deterministic given the seed.  If fewer than ``k`` distinct points exist,
@@ -108,7 +112,7 @@ def kmeans(points, k, restarts=10, seed=0, max_iter=300, rtol=1e-9):
     for child in as_seed_sequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
         centers = _plus_plus_seed(points, k, rng)
-        labels, centers, inertia = _lloyd(points, centers.copy(), max_iter, rtol)
+        labels, centers, inertia = _lloyd(points, centers.copy())
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
     labels, centers, inertia = best
@@ -150,13 +154,11 @@ def _neighbor_graph(data, k_neigh, farthest):
     sq = np.sum(data**2, axis=1)
     d2 = np.maximum(sq[:, None] - 2.0 * data @ data.T + sq[None, :], 0.0)
     np.fill_diagonal(d2, -np.inf if farthest else np.inf)
-    idx = np.arange(n)
-    rows = np.repeat(idx, k_neigh)
-    cols = np.empty(n * k_neigh, dtype=np.int64)
-    for i in range(n):
-        key = -d2[i] if farthest else d2[i]
-        order = np.lexsort((idx, key))  # distance first, ties to the smaller index
-        cols[i * k_neigh:(i + 1) * k_neigh] = order[:k_neigh]
+    key = -d2 if farthest else d2
+    # a stable sort keeps equal distances in index order: ties go to the
+    # smaller index
+    cols = np.argsort(key, axis=1, kind="stable")[:, :k_neigh].ravel()
+    rows = np.repeat(np.arange(n), k_neigh)
     adj = sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
     sym = adj + adj.T  # union symmetrization
     sym.data[:] = 1.0

@@ -139,11 +139,6 @@ class SparseSymMatrix:
             raise ValueError(f"expected {self.n} rows, got {X.shape[0]}")
         return self._csr @ X
 
-    def __matmul__(self, other):
-        if isinstance(other, np.ndarray) and other.ndim == 2:
-            return self.matmat(other)
-        return self.matvec(other)
-
     def __add__(self, other):
         self._check_same_order(other)
         return SparseSymMatrix(self._csr + other._csr, _skip_checks=True)

@@ -54,12 +54,6 @@ def _spd_eig(h, what):
     return w, v
 
 
-def dense_sqrt(h):
-    """Principal square root of a symmetric positive definite matrix."""
-    w, v = _spd_eig(h, "matrix square root")
-    r = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (r + r.T)
-
 def dense_inv_sqrt(h):
     """Inverse principal square root of a symmetric positive definite matrix."""
     w, v = _spd_eig(h, "inverse matrix square root")

@@ -23,10 +23,10 @@ sees the spectrum off the kernels, so its iteration count does not depend on
 the shifts.  It runs without a preconditioner: the diagonals of ``Lsym+`` and
 ``Qsym-`` are 1 at every vertex of positive degree, so Jacobi would only
 scale by ``1 / (1 + eps)``, and the ``eps``-only rows of isolated vertices
-are kernel vectors, solved exactly.  IC(0) does not pay there either: without
-numba its pure-Python triangular solves took 94% of a two-cluster GM call
-(n = 80).  The explicit-matrix path below still builds IC(0) for its one
-shifted matrix.
+are kernel vectors, solved exactly.  Nor does IC(0): without numba its
+triangular solves run in pure Python and cost far more than the CG
+iterations they save.  The explicit-matrix path below still builds IC(0) for
+its one shifted matrix.
 
 One deflated inverse iteration serves both entry points:
 :func:`smallest_k_eigenpairs` for the pencil and
@@ -51,6 +51,9 @@ DEFAULT_EKSM_TOL = 1e-10
 DEFAULT_PCG_TOL = 1e-10
 DEFAULT_IPM_TOL = 1e-8
 DEFAULT_MAX_OUTER = 500
+# a_orthonormalize reports breakdown once a vector keeps less than this
+# fraction of its A-norm after projection
+BREAKDOWN_RTOL = 1e-12
 # diagonal shift that makes a positive semidefinite matrix definite for the
 # inner solves of matrix_smallest_k_eigenpairs
 MATRIX_SHIFT = 1e-6
@@ -114,13 +117,13 @@ def _deflated_solve(m, kernel, values, rhs, tol):
     return x + kernel.combine(c / values)
 
 
-def a_orthonormalize(basis, w, apply_a, a_basis=None, breakdown_rtol=1e-12):
+def a_orthonormalize(basis, w, apply_a, a_basis=None):
     """Orthonormalize ``w`` against ``basis`` in the ``<u, v> = u' A v`` product.
 
     ``basis`` must already be A-orthonormal; ``a_basis`` may cache ``A @ basis``.
     Uses two Gram-Schmidt passes (full reorthogonalization).  Returns
     ``(q, A @ q)`` with ``q' A q = 1``, or ``None`` when the projected vector
-    loses a factor ``breakdown_rtol`` of its A-norm, i.e. ``w`` lies in the
+    loses a factor ``BREAKDOWN_RTOL`` of its A-norm, i.e. ``w`` lies in the
     span and an invariant subspace has been found.
     """
     w = np.array(w, dtype=np.float64)
@@ -143,7 +146,7 @@ def a_orthonormalize(basis, w, apply_a, a_basis=None, breakdown_rtol=1e-12):
     if s < 0.0:
         raise IndefiniteOperatorError("inner-product operator is not positive definite")
     nrm = np.sqrt(s)
-    if nrm < breakdown_rtol * pre:
+    if nrm < BREAKDOWN_RTOL * pre:
         return None
     return w / nrm, aw / nrm
 
@@ -322,9 +325,9 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60,
                       history=history)
 
 
-def apply_geometric_mean(pencil, x, tol=DEFAULT_EKSM_TOL, max_s=60):
+def apply_geometric_mean(pencil, x, tol=DEFAULT_EKSM_TOL):
     """Matrix-free application ``(A # B) x = B (A^-1 B)^-1/2 x``."""
-    return pencil.apply_b(eksm_apply_inv_sqrt(pencil, x, tol=tol, max_s=max_s).x)
+    return pencil.apply_b(eksm_apply_inv_sqrt(pencil, x, tol=tol).x)
 
 
 @dataclass

@@ -5,14 +5,8 @@ import numpy as np
 from .errors import ConvergenceError, IndefiniteOperatorError
 
 
-def _as_apply(operator):
-    if callable(operator):
-        return operator
-    return operator.matvec
-
-
-def pcg_solve(apply_m, b, preconditioner=None, tol=1e-10, max_iter=None):
-    """Solve ``M x = b`` for SPD ``M`` given as a matrix or a callable.
+def pcg_solve(m, b, preconditioner=None, tol=1e-10, max_iter=None):
+    """Solve ``M x = b`` for an SPD matrix ``m`` (anything with ``matvec``).
 
     Starts from ``x = 0`` and iterates until ``||M x - b|| <= tol * ||b||``.
     Returns ``(x, iterations)``.
@@ -26,7 +20,6 @@ def pcg_solve(apply_m, b, preconditioner=None, tol=1e-10, max_iter=None):
         After ``max_iter`` iterations (default ``10 * n``); carries the last
         iterate and the relative residual reached.
     """
-    apply_m = _as_apply(apply_m)
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
     if max_iter is None:
@@ -49,7 +42,7 @@ def pcg_solve(apply_m, b, preconditioner=None, tol=1e-10, max_iter=None):
         raise IndefiniteOperatorError("preconditioner produced a non-positive inner product")
 
     for k in range(1, max_iter + 1):
-        mp = apply_m(p)
+        mp = m.matvec(p)
         p_mp = float(p @ mp)
         if p_mp <= 0.0:
             raise IndefiniteOperatorError(

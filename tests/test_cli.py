@@ -41,6 +41,12 @@ class TestSbmRegion:
         _, _, rows = read_csv(out)
         assert all(float(r[4]) == 1.0 for r in rows)
 
+    def test_config_line_holds_only_its_own_keys(self, capsys):
+        main(["sbm-region", "--k", "2", "--steps", "4", "--target", "e_g"])
+        config = json.loads(capsys.readouterr().out.split("\n")[0][2:])
+        assert set(config) == {"command", "k", "steps", "conditioning",
+                               "target", "out"}
+
     def test_invalid_steps_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["sbm-region", "--k", "2", "--steps", "1"])
@@ -70,20 +76,6 @@ class TestSbmCluster:
                   "--p-in-minus", "0.0", "--p-out-minus", "1.0",
                   "--kmeans-restarts", restarts])
         assert exc.value.code == 2
-
-    def test_threaded_sweep_matches_serial(self, tmp_path):
-        argv = ["sbm-cluster", "--k", "2", "--cluster-size", "15",
-                "--p-in-plus", "0.8", "--p-out-plus", "0.1",
-                "--p-in-minus", "0.1", "--p-out-minus", "0.8",
-                "--methods", "SN,GM", "--runs", "2", "--seed", "3"]
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(argv + ["--out", str(out1)]) == 0
-        assert main(argv + ["--threads", "4", "--out", str(out2)]) == 0
-        _, _, rows1 = read_csv(out1)
-        _, _, rows2 = read_csv(out2)
-        # identical apart from wall-clock times
-        strip = lambda rows: [r[:4] + r[5:] for r in rows]
-        assert strip(rows1) == strip(rows2)
 
 
 class TestClusterCommand:
@@ -214,3 +206,91 @@ class TestDeterminism:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("# {")
+
+
+SBM_ARGS = ["--k", "2", "--cluster-size", "5", "--p-in-plus", "1.0",
+            "--p-out-plus", "0.0", "--p-in-minus", "0.0", "--p-out-minus", "1.0"]
+REQUIRED = {
+    "sbm-region": ["--k", "2", "--steps", "4"],
+    "sbm-cluster": SBM_ARGS,
+    "cluster": ["--edges", "edges.txt", "--k", "2"],
+    "bench": ["--n", "10"],
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command, option", [
+        ("sbm-region", ["--seed", "1"]),
+        ("sbm-region", ["--tol", "1e-6"]),
+        ("sbm-region", ["--shift-eps1", "1e-3"]),
+        ("sbm-region", ["--shift-eps2", "1e-3"]),
+        ("sbm-region", ["--kmeans-restarts", "2"]),
+        ("bench", ["--kmeans-restarts", "2"]),
+        ("sbm-region", ["--threads", "2"]),
+        ("sbm-cluster", ["--threads", "2"]),
+        ("cluster", ["--threads", "2"]),
+        ("bench", ["--threads", "2"]),
+    ])
+    def test_option_the_command_does_not_read_is_rejected(self, command, option,
+                                                          capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *REQUIRED[command], *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def write_clique(path, n):
+    path.write_text("".join(f"{i} {j} 1.0\n" for i in range(n)
+                            for j in range(i + 1, n)))
+    return str(path)
+
+
+class TestInputErrors:
+    """Input the library rejects is a usage error: exit 2, no traceback."""
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        return err
+
+    def test_more_clusters_than_vertices(self, tmp_path, capsys):
+        edges = write_clique(tmp_path / "edges.txt", 4)
+        err = self.run(["cluster", "--edges", edges, "--k", "9"], capsys)
+        assert "k must be in [2, 4]" in err
+
+    def test_truth_of_wrong_length(self, tmp_path, capsys):
+        edges = write_clique(tmp_path / "edges.txt", 4)
+        truth = tmp_path / "truth.txt"
+        truth.write_text("0\n1\n0\n")
+        err = self.run(["cluster", "--edges", edges, "--k", "2", "--truth",
+                        str(truth)], capsys)
+        assert "differ in length" in err
+
+    def test_too_few_points_for_the_neighbor_count(self, tmp_path, capsys):
+        points = tmp_path / "points.txt"
+        np.savetxt(points, np.arange(10.0).reshape(5, 2))
+        err = self.run(["cluster", "--points", str(points), "--k", "2",
+                        "--k-plus", "5"], capsys)
+        assert "need 1 <= k < n" in err
+
+    def test_odd_bench_size(self, capsys):
+        err = self.run(["bench", "--n", "11", "--repetitions", "1"], capsys)
+        assert "n must be even" in err
+
+    def test_probability_above_one(self, capsys):
+        argv = ["sbm-cluster", *SBM_ARGS, "--runs", "1"]
+        argv[argv.index("--p-in-plus") + 1] = "1.5"
+        err = self.run(argv, capsys)
+        assert "not a probability" in err
+
+    def test_linalg_error_is_still_a_numerical_failure(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(siglap.cli, "spectral_cluster", fail)
+        edges = write_clique(tmp_path / "edges.txt", 4)
+        assert main(["cluster", "--edges", edges, "--k", "2"]) == 1
+        assert capsys.readouterr().err.startswith("numerical failure: ")

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from siglap import dense_geometric_mean, dense_inv_sqrt, dense_sym_eig
-from siglap.densela import (ORACLE_CAP, dense_sqrt,
-                            geometric_mean_representations,
+from siglap.densela import (ORACLE_CAP, geometric_mean_representations,
                             pencil_inv_sqrt_apply, subspace_angle)
 from siglap.errors import IndefiniteOperatorError
 

@@ -22,12 +22,6 @@ class TestPcgBasics:
         assert iters == 0
         np.testing.assert_array_equal(x, np.zeros(3))
 
-    def test_callable_operator(self):
-        m = np.diag([2.0, 3.0])
-        x, iters = pcg_solve(lambda v: m @ v, np.array([2.0, 3.0]))
-        assert iters <= 2
-        np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-12)
-
     def test_indefinite_breakdown(self):
         m = SparseSymMatrix.diagonal([1.0, -1.0])
         with pytest.raises(IndefiniteOperatorError, match="curvature"):

@@ -170,6 +170,12 @@ def cmd_cluster(args):
         pts = load_points(args.points)
         g = SignedGraph(w_plus=knn_pos_graph(pts, args.k_plus),
                         w_minus=kfn_neg_graph(pts, args.k_minus))
+    truth = None
+    if args.truth is not None:
+        truth = load_labels(args.truth)
+        if truth.labels.shape != (g.n,):
+            raise ValueError(f"--truth and the graph differ in length "
+                             f"({truth.labels.size} labels, {g.n} vertices)")
     res = spectral_cluster(g, args.k, method=args.method, shift=_shift(args),
                            seed=args.seed, restarts=args.kmeans_restarts,
                            tol=args.tol)
@@ -182,8 +188,7 @@ def cmd_cluster(args):
         "empty_clusters": list(res.labels.empty_clusters),
     }
     rows = [("cluster_size", c, int(s)) for c, s in enumerate(sizes)]
-    if args.truth is not None:
-        truth = load_labels(args.truth)
+    if truth is not None:
         err = clustering_error(res.labels, truth)
         payload["error"] = err
         rows.append(("majority_vote_error", "", err))

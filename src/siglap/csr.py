@@ -2,8 +2,10 @@
 
 A :class:`SparseSymMatrix` stores both triangles of a symmetric matrix so
 that matrix-vector products are branch-free row sums.  Construction always
-canonicalizes (sorted column indices, duplicates summed) and verifies exact
-structural and numerical symmetry; everything downstream may rely on it.
+canonicalizes (sorted column indices, duplicates summed).  Outside input
+(a scipy matrix or a dense array) is verified to be exactly symmetric, both
+structurally and numerically; edge lists and the algebra below build
+symmetric matrices by construction.  Everything downstream may rely on it.
 """
 
 import numpy as np
@@ -48,48 +50,28 @@ class SparseSymMatrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_coo(cls, n, rows, cols, vals):
-        """Build from COO triplets; duplicates are summed, symmetry is required.
-
-        Duplicates are ordered by value before summing so that the (i, j) and
-        (j, i) accumulations run in the same order and symmetry survives
-        floating point exactly.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if rows.shape != cols.shape or rows.shape != vals.shape:
-            raise ValueError("rows, cols, vals must have equal length")
-        if rows.size and (rows.min() < 0 or cols.min() < 0
-                          or rows.max() >= n or cols.max() >= n):
-            raise ValueError("index out of range")
-        order = np.lexsort((vals, cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size:
-            first = np.empty(rows.size, dtype=bool)
-            first[0] = True
-            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.flatnonzero(first)
-            rows, cols = rows[starts], cols[starts]
-            vals = np.add.reduceat(vals, starts)
-        return cls(sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr())
-
-    @classmethod
     def from_undirected_edges(cls, n, i, j, w):
         """Build from undirected edges: each (i, j, w) also inserts (j, i, w).
 
-        Duplicate edges (in either orientation) are summed.  Self loops are
-        rejected; drop them before calling.
+        Duplicate edges (in either orientation) are summed once, into the
+        upper triangle; the lower triangle is its transpose, so the result is
+        symmetric by construction and needs no check.  Edges whose weights
+        sum to zero leave no stored entry.  Self loops are rejected; drop
+        them before calling.
         """
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         w = np.asarray(w, dtype=np.float64)
+        if i.shape != j.shape or i.shape != w.shape:
+            raise ValueError("i, j, w must have equal length")
+        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
+            raise ValueError("index out of range")
         if np.any(i == j):
             raise ValueError("self loops are not allowed here")
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
-        vals = np.concatenate([w, w])
-        return cls.from_coo(n, rows, cols, vals)
+        upper = sp.coo_array(
+            (w, (np.minimum(i, j), np.maximum(i, j))), shape=(n, n)
+        ).tocsr()
+        return cls(upper + upper.T, _skip_checks=True)
 
     @classmethod
     def from_dense(cls, a):

@@ -152,15 +152,6 @@ def a_orthonormalize(basis, w, apply_a, a_basis=None):
 
 
 @dataclass
-class EksmState:
-    """Snapshot of the extended Krylov iteration at its final step."""
-
-    basis: np.ndarray       # n x m, A-orthonormal columns
-    projected: np.ndarray   # m x m symmetric, basis' B basis
-    s: int
-
-
-@dataclass
 class EksmResult:
     """Converged extended Krylov approximant and the rule that stopped it.
 
@@ -169,15 +160,17 @@ class EksmResult:
     :func:`eksm_apply_inv_sqrt`) or ``"invariant"`` (both chains closed on an
     invariant subspace).  ``delta`` is the last measured relative A-norm
     difference of successive approximants, ``nan`` if the subspace closed
-    before a second approximant existed.
+    before a second approximant existed.  ``basis`` holds the A-orthonormal
+    basis the iteration built and ``projected`` its projected matrix
+    ``basis' B basis``.
     """
 
     x: np.ndarray
     s: int
     delta: float
     stop: str
-    state: EksmState
-    history: list
+    basis: np.ndarray
+    projected: np.ndarray
 
 
 def _projected_inv_sqrt_e1(h, scale):
@@ -199,8 +192,7 @@ def _projected_inv_sqrt_e1(h, scale):
     return u @ ((u[0, :] / sigma) * scale)
 
 
-def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60,
-                        return_history=False):
+def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
     """Approximate ``(A^-1 B)^-1/2 y`` in an extended Krylov subspace.
 
     Each iteration appends (up to) two A-orthonormal basis vectors, one from
@@ -249,7 +241,6 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60,
     last = delta = np.nan
     floor_level = np.sqrt(tol)
     stop = None
-    history = []
 
     def append(w):
         nonlocal basis, a_basis, b_basis
@@ -286,8 +277,6 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60,
         h = basis.T @ b_basis
         h = 0.5 * (h + h.T)
         coef = _projected_inv_sqrt_e1(h, y_anorm)
-        if return_history:
-            history.append(basis @ coef)
         if prev_coef is not None:
             diff = coef.copy()
             diff[: prev_coef.shape[0]] -= prev_coef
@@ -310,19 +299,16 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60,
             v = pencil.solve_b(a_basis[:, v_idx])
 
     x = basis[:, :coef.shape[0]] @ coef
-    state = EksmState(basis=basis, projected=h, s=s)
     if stop is None:
-        err = ConvergenceError(
+        raise ConvergenceError(
             f"extended Krylov iteration did not reach tol={tol:g} or its "
             f"floor within {max_s} iterations (last gap {delta:.3e})",
             iterate=x,
             residual=delta,
             iterations=s,
         )
-        err.state = state
-        raise err
-    return EksmResult(x=x, s=s, delta=delta, stop=stop, state=state,
-                      history=history)
+    return EksmResult(x=x, s=s, delta=delta, stop=stop, basis=basis,
+                      projected=h)
 
 
 def apply_geometric_mean(pencil, x, tol=DEFAULT_EKSM_TOL):

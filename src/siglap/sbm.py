@@ -49,18 +49,19 @@ class SbmParams:
 
 
 def _distinct_indices(rng, n_pairs, m):
-    """m distinct integers from range(n_pairs), uniformly, memory-bounded."""
+    """m distinct integers from range(n_pairs), uniformly, memory-bounded.
+
+    Up to 1e6 pairs this takes a prefix of a full permutation, the draw that
+    ``tests/test_sbm.py`` pins by digest; beyond, ``rng.choice`` samples
+    without building the whole range.
+    """
     if m == 0:
         return np.empty(0, dtype=np.int64)
     if m >= n_pairs:
         return np.arange(n_pairs, dtype=np.int64)
     if n_pairs <= 1_000_000:
         return rng.permutation(n_pairs)[:m].astype(np.int64)
-    pool = np.empty(0, dtype=np.int64)
-    while pool.size < m:
-        extra = rng.integers(0, n_pairs, size=int(1.2 * (m - pool.size)) + 16)
-        pool = np.unique(np.concatenate([pool, extra]))
-    return pool[rng.permutation(pool.size)[:m]]
+    return rng.choice(n_pairs, size=m, replace=False).astype(np.int64)
 
 
 def _decode_triangular(t, c):

@@ -68,6 +68,21 @@ class TestSbmCluster:
         median = [r for r in rows if r[1] == "median"][0]
         assert float(median[3]) == 0.0
 
+    def test_methods_cluster_the_same_graphs(self, tmp_path):
+        # a method's rows do not depend on which other methods run
+        def gm_errors(methods):
+            out = tmp_path / f"{methods}.csv"
+            code = main(["sbm-cluster", "--k", "3", "--cluster-size", "15",
+                         "--p-in-plus", "0.4", "--p-out-plus", "0.25",
+                         "--p-in-minus", "0.25", "--p-out-minus", "0.4",
+                         "--runs", "2", "--seed", "9", "--methods", methods,
+                         "--out", str(out)])
+            assert code == 0
+            _, _, rows = read_csv(out)
+            return [(r[1], r[3]) for r in rows if r[0] == "GM"]
+
+        assert gm_errors("GM") == gm_errors("SN,GM")
+
     @pytest.mark.parametrize("restarts", ["0", "-2"])
     def test_kmeans_restarts_below_one_is_usage_error(self, restarts):
         with pytest.raises(SystemExit) as exc:
@@ -261,6 +276,19 @@ class TestInputErrors:
         assert "k must be in [2, 4]" in err
 
     def test_truth_of_wrong_length(self, tmp_path, capsys):
+        edges = write_clique(tmp_path / "edges.txt", 4)
+        truth = tmp_path / "truth.txt"
+        truth.write_text("0\n1\n0\n")
+        err = self.run(["cluster", "--edges", edges, "--k", "2", "--truth",
+                        str(truth)], capsys)
+        assert "differ in length" in err
+
+    def test_truth_checked_before_clustering(self, tmp_path, capsys,
+                                            monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("clustered before checking --truth")
+
+        monkeypatch.setattr(siglap.cli, "spectral_cluster", fail)
         edges = write_clique(tmp_path / "edges.txt", 4)
         truth = tmp_path / "truth.txt"
         truth.write_text("0\n1\n0\n")

@@ -214,6 +214,15 @@ class TestSpectralCluster:
             np.testing.assert_array_equal(
                 np.column_stack([p.vector for p in pairs]), res.embedding)
 
+    def test_one_seed_sequence_gives_one_answer(self):
+        # spawning from the caller's SeedSequence would advance it, so a
+        # second call with the same object would draw different seeds
+        g = sample(SbmParams(3, 15, 0.4, 0.25, 0.25, 0.4), seed=0)
+        seed = np.random.SeedSequence(7)
+        first = spectral_cluster(g, 3, seed=seed).labels.labels
+        second = spectral_cluster(g, 3, seed=seed).labels.labels
+        np.testing.assert_array_equal(first, second)
+
     def test_unknown_method_rejected(self):
         g, _ = two_clique_graph(3)
         with pytest.raises(ValueError, match="method"):

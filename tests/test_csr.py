@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from siglap import SparseSymMatrix
 
@@ -15,13 +16,14 @@ def random_sym(n, density, rng):
 
 
 class TestConstruction:
-    def test_from_coo_requires_symmetry(self):
+    def test_outside_input_requires_symmetry(self):
+        asym = sp.csr_array(([1.0], ([0], [1])), shape=(2, 2))
         with pytest.raises(ValueError, match="not exactly symmetric"):
-            SparseSymMatrix.from_coo(2, [0], [1], [1.0])
+            SparseSymMatrix(asym)
 
-    def test_from_coo_sums_duplicates(self):
-        m = SparseSymMatrix.from_coo(2, [0, 1, 0, 1], [1, 0, 1, 0], [1.0, 1.0, 0.5, 0.5])
-        assert m.to_dense()[0, 1] == 1.5
+    def test_undirected_edges_sum_duplicates(self):
+        m = SparseSymMatrix.from_undirected_edges(2, [0, 0], [1, 1], [1.0, 0.5])
+        assert m.to_dense()[0, 1] == m.to_dense()[1, 0] == 1.5
 
     def test_undirected_edges_mirror_and_sum(self):
         m = SparseSymMatrix.from_undirected_edges(3, [0, 1, 0], [1, 0, 2], [1.0, 1.0, 3.0])
@@ -35,7 +37,7 @@ class TestConstruction:
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            SparseSymMatrix.from_coo(2, [0, 2], [2, 0], [1.0, 1.0])
+            SparseSymMatrix.from_undirected_edges(2, [0], [2], [1.0])
 
     def test_csr_invariants(self):
         rng = np.random.default_rng(0)

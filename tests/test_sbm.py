@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from siglap import (ShiftConfig, conditions, corollary_bound,
                     expected_spectrum, indicator_basis, region_fraction,
                     sample, two_cluster_benchmark_graph)
 from siglap.densela import subspace_angle
-from siglap.sbm import SbmParams, expected_operator_dense
+from siglap.sbm import SbmParams, _distinct_indices, expected_operator_dense
 
 
 def params_of(k, c, pip, pop, pim, pom):
@@ -81,6 +83,44 @@ class TestSample:
         # positive edges intra only, negative inter only
         assert g.w_plus.to_dense()[:200, 200:].sum() == 0.0
         assert g.w_minus.to_dense()[:200, :200].sum() == 0.0
+
+
+def graph_digest(g):
+    h = hashlib.sha256()
+    for m in (g.w_plus, g.w_minus):
+        for a in (m.row_ptr, m.col_idx, m.values):
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestSampledGraphsArePinned:
+    """The exact CSR arrays of seeded graphs, so that a change to the sampler
+    or to the sparse builder cannot silently redraw the benchmark's inputs."""
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "04675c549406af0ea82787c50d578ee1f9de3c200483b6832a6b46f5332ff25c"),
+        (1, "5357668c7dca26b302d06a92fddcb9640a566e76a8d3fe3b18696a9df3e0986b"),
+        (2, "8656d3bab16071a9a2f3d2d9a72a04cad0ef0d93208f76226c779dcc07398570"),
+    ])
+    def test_two_cluster_benchmark_graph(self, seed, digest):
+        g, _ = two_cluster_benchmark_graph(80, 50, seed)
+        assert graph_digest(g) == digest
+
+    def test_four_cluster_sample(self):
+        g = sample(params_of(4, 20, 0.3, 0.05, 0.05, 0.3), seed=5)
+        assert graph_digest(g) == (
+            "17861aa79b1eda8a9a4ceb952e923500dfc1965c23e2abcd484bbe7716803c65")
+
+
+class TestDistinctIndices:
+    def test_large_range_without_building_it(self):
+        rng = np.random.default_rng(0)
+        t = _distinct_indices(rng, 2_500_000_000, 1000)
+        assert t.dtype == np.int64
+        assert t.shape == (1000,)
+        assert np.unique(t).size == 1000
+        assert t.min() >= 0 and t.max() < 2_500_000_000
 
 
 class TestExpectedGraph:

@@ -13,6 +13,15 @@ operands are sparse, so it is never formed.  Instead:
 * the smallest eigenpairs then come from inverse power iteration with
   Euclidean deflation against previously found vectors.
 
+Under a relaxed backward-error test ``resid_tol`` the iteration is inexact
+(Golub & Ye, BIT 40(4), 2000; Berns-Müller, Graham & Spence, LAA 416, 2006):
+every outer step is solved to ``INNER_RATIO * resid_tol``, 1% of the test
+that accepts it, instead of ``_inner_tol(tol)`` (and never more tightly).
+The outer step counts do not change.  Strict calls (``resid_tol = 0``) solve
+every step at ``_inner_tol(tol)``.  The value and residual of each returned
+pair are always measured at full accuracy: through ``A # B`` applied at
+``_inner_tol(tol)``, or exactly for a single matrix.
+
 Every inner system of the pencil (with ``A`` or with ``B``) is solved on the
 complement of known eigenvectors and exactly on their span.  For the shifted
 pair of a signed graph these are the kernels of ``Lsym+`` and ``Qsym-``
@@ -57,6 +66,9 @@ BREAKDOWN_RTOL = 1e-12
 # diagonal shift that makes a positive semidefinite matrix definite for the
 # inner solves of matrix_smallest_k_eigenpairs
 MATRIX_SHIFT = 1e-6
+# under a relaxed acceptance test resid_tol, each outer step's inner solves
+# run to INNER_RATIO * resid_tol
+INNER_RATIO = 1e-2
 
 
 class PencilOperator:
@@ -68,6 +80,9 @@ class PencilOperator:
     and the rest, solved by unpreconditioned CG; likewise ``solve_b``.  The
     eigenvalues ``lambda`` are the Rayleigh quotients of the basis vectors,
     so the same code serves any shifts, and an empty basis is plain CG.
+    ``pcg_tol`` is the CG tolerance of both; :func:`smallest_k_eigenpairs`
+    tightens it to its own accuracy and, under its relaxed rule, replaces it
+    for the outer steps.
     """
 
     def __init__(self, a, b, pcg_tol=None, kernels=None):
@@ -84,6 +99,12 @@ class PencilOperator:
     @property
     def n(self):
         return self.a.n
+
+    def with_pcg_tol(self, pcg_tol):
+        """The same pair, sharing every array, with inner solves to ``pcg_tol``."""
+        out = copy.copy(self)
+        out.pcg_tol = pcg_tol
+        return out
 
     def apply_a(self, x):
         return self.a.matvec(x)
@@ -343,6 +364,10 @@ def _inverse_iteration(inv_apply, deflate, tol, max_iter, seed, resid_tol):
     improvement over ``stall_window`` iterations) is also accepted when the
     relaxed rule is active.
 
+    Under the relaxed rule both callers make the iteration inexact:
+    ``inv_apply`` is then accurate only to ``INNER_RATIO * resid_tol``, so
+    a step that passes the backward-error test was applied to 1% of it.
+
     Returns ``(x, k)``: the unit iterate and the number of steps taken.
     """
     stall_window = 30
@@ -396,6 +421,12 @@ def _inner_tol(tol):
     return max(1e-14, min(DEFAULT_EKSM_TOL, 0.01 * tol))
 
 
+def _step_tol(tol, resid_tol):
+    # a step accepted at backward error resid_tol need only be solved to a
+    # small share of it; never tighter than a strict call's steps
+    return max(_inner_tol(tol), INNER_RATIO * resid_tol)
+
+
 def _smallest_k(inv_apply, apply, n, k, tol, max_iter, seed, resid_tol):
     """The ``k`` smallest eigenpairs of the operator ``apply`` by sequential
     deflated inverse iteration with its inverse ``inv_apply``.
@@ -434,19 +465,24 @@ def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL,
 
     One outer step applies ``(A # B)^-1`` as a sparse solve with ``A``
     followed by the Krylov inverse square root; values and residuals are
-    measured with ``A # B`` applied matrix-free.  The Krylov tolerance is
-    tied to ``tol``, and so is the pencil's ``pcg_tol`` where it is looser.
+    measured with ``A # B`` applied matrix-free.  The Krylov tolerance of
+    values and residuals is ``_inner_tol(tol)``, and so is the pencil's
+    ``pcg_tol`` where it is looser; strict calls (``resid_tol = 0``) run
+    their outer steps the same way.  Under the relaxed rule the outer steps
+    are inexact: their ``solve_a`` and Krylov solves both run to
+    ``max(_inner_tol(tol), INNER_RATIO * resid_tol)``, whatever the pencil's
+    own ``pcg_tol``.
     """
     eksm_tol = _inner_tol(tol)
-    if eksm_tol < pencil.pcg_tol:
-        pencil = copy.copy(pencil)
-        pencil.pcg_tol = eksm_tol
+    exact = pencil.with_pcg_tol(min(eksm_tol, pencil.pcg_tol))
+    step_tol = _step_tol(tol, resid_tol)
+    step = pencil.with_pcg_tol(step_tol) if resid_tol > 0.0 else exact
 
     def inv_apply(x):
-        return eksm_apply_inv_sqrt(pencil, pencil.solve_a(x), tol=eksm_tol).x
+        return eksm_apply_inv_sqrt(step, step.solve_a(x), tol=step_tol).x
 
     def apply(x):
-        return apply_geometric_mean(pencil, x, tol=eksm_tol)
+        return apply_geometric_mean(exact, x, tol=eksm_tol)
 
     return _smallest_k(inv_apply, apply, pencil.n, k, tol, max_iter, seed,
                        resid_tol)
@@ -458,13 +494,15 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     """The ``k`` smallest eigenpairs of one sparse symmetric matrix.
 
     Runs the same deflated inverse iteration on ``m + sigma I`` with IC(0)
-    preconditioned inner solves to a tolerance tied to ``tol``.
+    preconditioned inner solves to ``_inner_tol(tol)``, or, under the
+    relaxed rule, inexactly to ``max(_inner_tol(tol), INNER_RATIO *
+    resid_tol)``.
     ``definite=True`` asserts ``m`` is positive semidefinite and uses
     ``sigma = MATRIX_SHIFT``; otherwise a Gershgorin bound raises the shift
     until the iteration matrix is SPD.  Values and residuals refer to ``m``
-    itself.
+    itself, measured exactly with ``m.matvec``.
     """
-    pcg_tol = _inner_tol(tol)
+    pcg_tol = _step_tol(tol, resid_tol)
     sigma = MATRIX_SHIFT
     if not definite:
         gersh = float(np.min(m.diagonal_vector() - m.abs_offdiag_row_sums()))

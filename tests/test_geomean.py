@@ -7,6 +7,7 @@ from siglap import (ConvergenceError, IndefiniteOperatorError, KernelBasis,
                     dense_geometric_mean, dense_sym_eig, eksm_apply_inv_sqrt,
                     geomean, matrix_smallest_k_eigenpairs, shifted_pair,
                     smallest_eigenpairs, smallest_k_eigenpairs)
+from siglap.cluster import RESID_TOL
 from siglap.densela import pencil_inv_sqrt_apply, subspace_angle
 from siglap.graphs import (SignedGraph, laplacian, pencil_kernels,
                            signed_laplacian, signless_laplacian)
@@ -391,6 +392,93 @@ class TestSmallestK:
             solve(pencil, 1, max_iter=0)
 
 
+@pytest.fixture
+def eksm_tolerances(monkeypatch):
+    """``(tol, pencil.pcg_tol)`` of every ``eksm_apply_inv_sqrt`` call."""
+    calls = []
+    eksm = geomean.eksm_apply_inv_sqrt
+
+    def recording(pencil, y, tol=geomean.DEFAULT_EKSM_TOL, **kw):
+        calls.append((tol, pencil.pcg_tol))
+        return eksm(pencil, y, tol=tol, **kw)
+
+    monkeypatch.setattr(geomean, "eksm_apply_inv_sqrt", recording)
+    return calls
+
+
+@pytest.fixture
+def pcg_tolerances(monkeypatch):
+    """The ``tol`` of every ``pcg_solve`` call."""
+    tols = []
+    pcg = geomean.pcg_solve
+
+    def recording(*args, tol, **kw):
+        tols.append(tol)
+        return pcg(*args, tol=tol, **kw)
+
+    monkeypatch.setattr(geomean, "pcg_solve", recording)
+    return tols
+
+
+def step_tol(tol, resid_tol):
+    """The inner tolerance of every outer step: 1% of a relaxed acceptance
+    test, and a strict call's full accuracy otherwise."""
+    if resid_tol > 0.0:
+        return max(geomean._inner_tol(tol), geomean.INNER_RATIO * resid_tol)
+    return geomean._inner_tol(tol)
+
+
+class TestInexactSteps:
+    @pytest.mark.parametrize("resid_tol", [0.0, RESID_TOL],
+                             ids=["strict", "relaxed"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gm_inverse_steps_run_at_the_step_tolerance(
+            self, eksm_tolerances, seed, resid_tol):
+        g = two_cluster_benchmark_graph(80, 50, seed)[0]
+        tol = 1e-8
+        pairs = smallest_eigenpairs(g, 2, "GM", tol=tol, seed=seed,
+                                    resid_tol=resid_tol)
+        full, step = geomean._inner_tol(tol), step_tol(tol, resid_tol)
+        # each pair makes its inverse steps, then one application of A # B
+        # for its value and residual
+        start = 0
+        for pair in pairs:
+            steps = eksm_tolerances[start:start + pair.iterations]
+            assert steps == [(step, step)] * pair.iterations
+            assert eksm_tolerances[start + pair.iterations] == (full, full)
+            start += pair.iterations + 1
+        assert start == len(eksm_tolerances)
+
+    @pytest.mark.parametrize("resid_tol", [0.0, RESID_TOL],
+                             ids=["strict", "relaxed"])
+    def test_explicit_inverse_steps_run_at_the_step_tolerance(
+            self, pcg_tolerances, resid_tol):
+        # SN's second and third eigenvalues on the two-cluster graphs lie
+        # within 2% of each other, too close for strict convergence
+        g = empty_minus()
+        tol = 1e-8
+        pairs = smallest_eigenpairs(g, 2, "SN", tol=tol, resid_tol=resid_tol)
+        # SN's values and residuals come from products with the matrix, so
+        # every solve is an inverse step
+        n_steps = sum(p.iterations for p in pairs)
+        assert pcg_tolerances == [step_tol(tol, resid_tol)] * n_steps
+
+    def test_relaxed_steps_ignore_the_pencils_own_tolerance(
+            self, eksm_tolerances):
+        # strict calls keep a tighter pcg_tol of the pencil, as do values
+        # and residuals; relaxed outer steps run at the step tolerance
+        tol = 1e-8
+        full, step = geomean._inner_tol(tol), step_tol(tol, RESID_TOL)
+        for resid_tol, expected in ((0.0, 1e-12), (RESID_TOL, step)):
+            eksm_tolerances.clear()
+            pairs = smallest_k_eigenpairs(sbm_pencil(20, 0, pcg_tol=1e-12), 1,
+                                          tol=tol, resid_tol=resid_tol)
+            n_steps = pairs[0].iterations
+            pcg_tols = [p for _, p in eksm_tolerances[:n_steps]]
+            assert pcg_tols == [expected] * n_steps
+            assert eksm_tolerances[n_steps] == (full, 1e-12)
+
+
 class TestJacobiPencil:
     @pytest.mark.parametrize("isolated", [False, True])
     def test_smallest_pairs_match_dense_oracle(self, isolated):
@@ -494,18 +582,61 @@ GM_HARD_CASES = {
 }
 
 
+def assert_pairs_match_oracle(pairs, dense, value_rtol, value_atol, angle_tol,
+                              relaxed):
+    """The pairs are the smallest eigenpairs of ``dense``.
+
+    Each value is within ``value_rtol * |w| + value_atol`` of its eigenvalue
+    ``w`` and the span within ``angle_tol`` of the oracle's eigenspace.
+    Under relaxed acceptance the pairs are only as good as their measured
+    residuals, so the bounds those give also pass: a value within its
+    residual of its eigenvalue, and the Davis-Kahan angle ``||R||_F / gap``.
+    """
+    k = len(pairs)
+    w, v = dense_sym_eig(dense)
+    vals = np.array([p.value for p in pairs])
+    resid = np.array([p.residual for p in pairs])
+    value_tol = value_rtol * np.abs(w[:k]) + value_atol
+    span = np.column_stack([p.vector for p in pairs])
+    if relaxed:
+        value_tol = np.maximum(value_tol, resid)
+        angle_tol = max(angle_tol, np.linalg.norm(resid) / (w[k] - vals.max()))
+    assert np.all(np.abs(vals - w[:k]) <= value_tol)
+    assert subspace_angle(span, v[:, :k]) <= angle_tol
+
+
+# each hard case under strict convergence and under spectral_cluster's relaxed
+# acceptance
+HARD_CASE_MODES = [pytest.param(case, resid_tol, id=case + suffix)
+                   for case in GM_HARD_CASES
+                   for resid_tol, suffix in ((0.0, ""), (RESID_TOL, "-relaxed"))]
+
+
 class TestGmHardCases:
-    @pytest.mark.parametrize("case", GM_HARD_CASES)
-    def test_smallest_pairs_match_dense_oracle(self, case):
+    @pytest.mark.parametrize("case, resid_tol", HARD_CASE_MODES)
+    def test_smallest_pairs_match_dense_oracle(self, case, resid_tol):
         g = GM_HARD_CASES[case]()
         shift = ShiftConfig(1e-4, 1e-4)
-        pairs = smallest_eigenpairs(g, 2, "GM", shift=shift, tol=1e-8)
+        pairs = smallest_eigenpairs(g, 2, "GM", shift=shift, tol=1e-8,
+                                    resid_tol=resid_tol)
         a, b = shifted_pair(g, shift)
-        w, v = dense_sym_eig(dense_geometric_mean(a.to_dense(), b.to_dense()))
-        vals = np.array([p.value for p in pairs])
-        assert np.all(np.abs(vals - w[:2]) <= 1e-6 * np.abs(w[:2]))
-        span = np.column_stack([p.vector for p in pairs])
-        assert subspace_angle(span, v[:, :2]) <= 1e-5
+        assert_pairs_match_oracle(
+            pairs, dense_geometric_mean(a.to_dense(), b.to_dense()),
+            value_rtol=1e-6, value_atol=0.0, angle_tol=1e-5,
+            relaxed=resid_tol > 0.0)
+
+
+class TestExplicitHardCases:
+    @pytest.mark.parametrize("case, resid_tol", HARD_CASE_MODES)
+    @pytest.mark.parametrize("method", ["SN", "BN", "AM"])
+    def test_smallest_pairs_match_dense_oracle(self, case, method, resid_tol):
+        # SN/BN/AM have exact zero eigenvalues on these graphs, so their
+        # values are checked in absolute terms
+        g = GM_HARD_CASES[case]()
+        pairs = smallest_eigenpairs(g, 2, method, tol=1e-8, resid_tol=resid_tol)
+        assert_pairs_match_oracle(
+            pairs, signed_laplacian(g, method).to_dense(), value_rtol=0.0,
+            value_atol=1e-10, angle_tol=1e-5, relaxed=resid_tol > 0.0)
 
 
 class TestMatrixEigensolver:

@@ -13,14 +13,22 @@ operands are sparse, so it is never formed.  Instead:
 * the smallest eigenpairs then come from inverse power iteration with
   Euclidean deflation against previously found vectors.
 
-Under a relaxed backward-error test ``resid_tol`` the iteration is inexact
-(Golub & Ye, BIT 40(4), 2000; Berns-Müller, Graham & Spence, LAA 416, 2006):
-every outer step is solved to ``INNER_RATIO * resid_tol``, 1% of the test
-that accepts it, instead of ``_inner_tol(tol)`` (and never more tightly).
-The outer step counts do not change.  Strict calls (``resid_tol = 0``) solve
-every step at ``_inner_tol(tol)``.  The value and residual of each returned
-pair are always measured at full accuracy: through ``A # B`` applied at
-``_inner_tol(tol)``, or exactly for a single matrix.
+Every solve takes its tolerance as an argument, and this one policy sets it:
+
+* full accuracy for an outer tolerance ``tol`` is ``_inner_tol(tol)``, 1% of
+  ``tol`` clipped to ``[TOL_FLOOR, DEFAULT_EKSM_TOL]``;
+* :func:`_inverse_iteration` computes one step tolerance and passes it to
+  every ``inv_apply(x, rtol)``.  Strict calls (``resid_tol = 0``) solve every
+  step at full accuracy.  Under a relaxed backward-error test ``resid_tol``
+  the steps are inexact (Golub & Ye, BIT 40(4), 2000; Berns-Müller, Graham &
+  Spence, LAA 416, 2006): each is solved to ``INNER_RATIO * resid_tol``, 1% of
+  the test that accepts it, never more tightly than at full accuracy, and the
+  outer step counts do not change;
+* on the pencil, ``rtol`` is the tolerance of the solve with ``A``, of the
+  Krylov inverse square root and of its inner solves; on a single matrix it
+  is the CG tolerance;
+* values and residuals are always measured at full accuracy: through
+  ``A # B`` applied at ``_inner_tol(tol)``, or exactly for a single matrix.
 
 Every inner system of the pencil (with ``A`` or with ``B``) is solved on the
 complement of known eigenvectors and exactly on their span.  For the shifted
@@ -32,10 +40,9 @@ sees the spectrum off the kernels, so its iteration count does not depend on
 the shifts.  It runs without a preconditioner: the diagonals of ``Lsym+`` and
 ``Qsym-`` are 1 at every vertex of positive degree, so Jacobi would only
 scale by ``1 / (1 + eps)``, and the ``eps``-only rows of isolated vertices
-are kernel vectors, solved exactly.  Nor does IC(0): without numba its
-triangular solves run in pure Python and cost far more than the CG
-iterations they save.  The explicit-matrix path below still builds IC(0) for
-its one shifted matrix.
+are kernel vectors, solved exactly.  Nor does IC(0): its triangular solves
+run in pure Python and cost far more than the CG iterations they save.  The
+explicit-matrix path below still builds IC(0) for its one shifted matrix.
 
 One deflated inverse iteration serves both entry points:
 :func:`smallest_k_eigenpairs` for the pencil and
@@ -44,7 +51,6 @@ arithmetic-mean style operators of the clustering front end).  Each supplies
 only the operator and its inverse.
 """
 
-import copy
 import warnings
 from dataclasses import dataclass
 
@@ -57,7 +63,9 @@ from .pcg import pcg_solve
 from .precond import incomplete_cholesky
 
 DEFAULT_EKSM_TOL = 1e-10
-DEFAULT_PCG_TOL = 1e-10
+# no solve is asked for more than this relative accuracy, which float64
+# rounding can still deliver
+TOL_FLOOR = 1e-14
 DEFAULT_IPM_TOL = 1e-8
 DEFAULT_MAX_OUTER = 500
 # a_orthonormalize reports breakdown once a vector keeps less than this
@@ -80,12 +88,10 @@ class PencilOperator:
     and the rest, solved by unpreconditioned CG; likewise ``solve_b``.  The
     eigenvalues ``lambda`` are the Rayleigh quotients of the basis vectors,
     so the same code serves any shifts, and an empty basis is plain CG.
-    ``pcg_tol`` is the CG tolerance of both; :func:`smallest_k_eigenpairs`
-    tightens it to its own accuracy and, under its relaxed rule, replaces it
-    for the outer steps.
+    ``tol`` is the relative CG tolerance of each solve.
     """
 
-    def __init__(self, a, b, pcg_tol=None, kernels=None):
+    def __init__(self, a, b, kernels=None):
         if a.n != b.n:
             raise ValueError("operator pair must share the vertex set")
         self.a = a
@@ -94,17 +100,10 @@ class PencilOperator:
                                                    KernelBasis.empty(a.n))
         self._values_a = _kernel_values(a, self.kernel_a)
         self._values_b = _kernel_values(b, self.kernel_b)
-        self.pcg_tol = DEFAULT_PCG_TOL if pcg_tol is None else pcg_tol
 
     @property
     def n(self):
         return self.a.n
-
-    def with_pcg_tol(self, pcg_tol):
-        """The same pair, sharing every array, with inner solves to ``pcg_tol``."""
-        out = copy.copy(self)
-        out.pcg_tol = pcg_tol
-        return out
 
     def apply_a(self, x):
         return self.a.matvec(x)
@@ -112,13 +111,11 @@ class PencilOperator:
     def apply_b(self, x):
         return self.b.matvec(x)
 
-    def solve_a(self, rhs):
-        return _deflated_solve(self.a, self.kernel_a, self._values_a, rhs,
-                               self.pcg_tol)
+    def solve_a(self, rhs, tol):
+        return _deflated_solve(self.a, self.kernel_a, self._values_a, rhs, tol)
 
-    def solve_b(self, rhs):
-        return _deflated_solve(self.b, self.kernel_b, self._values_b, rhs,
-                               self.pcg_tol)
+    def solve_b(self, rhs, tol):
+        return _deflated_solve(self.b, self.kernel_b, self._values_b, rhs, tol)
 
 
 def _kernel_values(m, kernel):
@@ -235,6 +232,9 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
     * ``"invariant"``: both chains close on an invariant subspace, where the
       approximant is exact.
 
+    The inner solves with ``A`` and ``B`` run at ``tol`` too, but never
+    below ``TOL_FLOOR``, so ``tol = 0`` turns off the first two rules only.
+
     Raises :class:`ConvergenceError` after ``max_s`` iterations (the last
     iterate and gap travel with the exception) and
     :class:`IndefiniteOperatorError` if the projected matrix loses positive
@@ -249,12 +249,13 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
     if y_anorm <= 0.0:
         raise ValueError("y must be nonzero")
     y_anorm = np.sqrt(y_anorm)
+    solve_tol = max(tol, TOL_FLOOR)
 
     basis = np.empty((n, 0))
     a_basis = np.empty((n, 0))
     b_basis = np.empty((n, 0))
     u = y
-    v = pencil.solve_b(ay)
+    v = pencil.solve_b(ay, solve_tol)
     u_idx = v_idx = -1
     u_alive = v_alive = True
     prev_coef = None
@@ -315,9 +316,9 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
             break
         prev_coef = coef
         if u_alive:
-            u = pencil.solve_a(b_basis[:, u_idx])
+            u = pencil.solve_a(b_basis[:, u_idx], solve_tol)
         if v_alive:
-            v = pencil.solve_b(a_basis[:, v_idx])
+            v = pencil.solve_b(a_basis[:, v_idx], solve_tol)
 
     x = basis[:, :coef.shape[0]] @ coef
     if stop is None:
@@ -364,15 +365,12 @@ def _inverse_iteration(inv_apply, deflate, tol, max_iter, seed, resid_tol):
     improvement over ``stall_window`` iterations) is also accepted when the
     relaxed rule is active.
 
-    Under the relaxed rule both callers make the iteration inexact:
-    ``inv_apply`` is then accurate only to ``INNER_RATIO * resid_tol``, so
-    a step that passes the backward-error test was applied to 1% of it.
-
     Returns ``(x, k)``: the unit iterate and the number of steps taken.
     """
     stall_window = 30
     stall_cap = max(100.0 * resid_tol, 1e-2) if resid_tol > 0.0 else 0.0
     backward_trace = []
+    step_tol = _step_tol(tol, resid_tol)
 
     x = np.random.default_rng(seed).standard_normal(deflate.shape[0])
     if deflate.shape[1]:
@@ -383,7 +381,7 @@ def _inverse_iteration(inv_apply, deflate, tol, max_iter, seed, resid_tol):
     x /= nx
 
     for k in range(1, max_iter + 1):
-        y = inv_apply(x)
+        y = inv_apply(x, step_tol)
         if deflate.shape[1]:
             y -= deflate @ (deflate.T @ y)
         ny = np.linalg.norm(y)
@@ -418,7 +416,7 @@ def _inverse_iteration(inv_apply, deflate, tol, max_iter, seed, resid_tol):
 
 def _inner_tol(tol):
     # the outer iteration cannot settle below the inner solver's accuracy
-    return max(1e-14, min(DEFAULT_EKSM_TOL, 0.01 * tol))
+    return max(TOL_FLOOR, min(DEFAULT_EKSM_TOL, 0.01 * tol))
 
 
 def _step_tol(tol, resid_tol):
@@ -437,6 +435,8 @@ def _smallest_k(inv_apply, apply, n, k, tol, max_iter, seed, resid_tol):
     """
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     basis = np.empty((n, 0))
@@ -465,24 +465,13 @@ def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL,
 
     One outer step applies ``(A # B)^-1`` as a sparse solve with ``A``
     followed by the Krylov inverse square root; values and residuals are
-    measured with ``A # B`` applied matrix-free.  The Krylov tolerance of
-    values and residuals is ``_inner_tol(tol)``, and so is the pencil's
-    ``pcg_tol`` where it is looser; strict calls (``resid_tol = 0``) run
-    their outer steps the same way.  Under the relaxed rule the outer steps
-    are inexact: their ``solve_a`` and Krylov solves both run to
-    ``max(_inner_tol(tol), INNER_RATIO * resid_tol)``, whatever the pencil's
-    own ``pcg_tol``.
+    measured with ``A # B`` applied matrix-free.
     """
-    eksm_tol = _inner_tol(tol)
-    exact = pencil.with_pcg_tol(min(eksm_tol, pencil.pcg_tol))
-    step_tol = _step_tol(tol, resid_tol)
-    step = pencil.with_pcg_tol(step_tol) if resid_tol > 0.0 else exact
-
-    def inv_apply(x):
-        return eksm_apply_inv_sqrt(step, step.solve_a(x), tol=step_tol).x
+    def inv_apply(x, rtol):
+        return eksm_apply_inv_sqrt(pencil, pencil.solve_a(x, rtol), tol=rtol).x
 
     def apply(x):
-        return apply_geometric_mean(exact, x, tol=eksm_tol)
+        return apply_geometric_mean(pencil, x, tol=_inner_tol(tol))
 
     return _smallest_k(inv_apply, apply, pencil.n, k, tol, max_iter, seed,
                        resid_tol)
@@ -494,15 +483,11 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     """The ``k`` smallest eigenpairs of one sparse symmetric matrix.
 
     Runs the same deflated inverse iteration on ``m + sigma I`` with IC(0)
-    preconditioned inner solves to ``_inner_tol(tol)``, or, under the
-    relaxed rule, inexactly to ``max(_inner_tol(tol), INNER_RATIO *
-    resid_tol)``.
-    ``definite=True`` asserts ``m`` is positive semidefinite and uses
-    ``sigma = MATRIX_SHIFT``; otherwise a Gershgorin bound raises the shift
-    until the iteration matrix is SPD.  Values and residuals refer to ``m``
-    itself, measured exactly with ``m.matvec``.
+    preconditioned inner solves.  ``definite=True`` asserts ``m`` is positive
+    semidefinite and uses ``sigma = MATRIX_SHIFT``; otherwise a Gershgorin
+    bound raises the shift until the iteration matrix is SPD.  Values and
+    residuals refer to ``m`` itself, measured exactly with ``m.matvec``.
     """
-    pcg_tol = _step_tol(tol, resid_tol)
     sigma = MATRIX_SHIFT
     if not definite:
         gersh = float(np.min(m.diagonal_vector() - m.abs_offdiag_row_sums()))
@@ -510,8 +495,8 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     shifted = m.add_diagonal(sigma)
     pc = incomplete_cholesky(shifted)
 
-    def inv_apply(x):
-        return pcg_solve(shifted, x, pc, tol=pcg_tol)[0]
+    def inv_apply(x, rtol):
+        return pcg_solve(shifted, x, pc, tol=rtol)[0]
 
     return _smallest_k(inv_apply, m.matvec, m.n, k, tol, max_iter, seed,
                        resid_tol)

@@ -74,9 +74,10 @@ class ShiftConfig:
     eps2: float = 1e-6
 
     def __post_init__(self):
-        if self.eps1 < 0.0 or self.eps2 < 0.0:
+        # written so that NaN fails each test
+        if not (self.eps1 >= 0.0 and self.eps2 >= 0.0):
             raise ValueError("shifts must be nonnegative")
-        if self.eps1 + self.eps2 >= 1.0:
+        if not self.eps1 + self.eps2 < 1.0:
             raise ValueError("eps1 + eps2 must be below 1")
 
     def require_positive(self):

@@ -24,7 +24,7 @@ def pcg_solve(m, b, preconditioner=None, tol=1e-10, max_iter=None):
     n = b.shape[0]
     if max_iter is None:
         max_iter = 10 * n
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
 
     b_norm = np.linalg.norm(b)

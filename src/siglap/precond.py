@@ -4,8 +4,7 @@
 keeps exactly the lower-triangular sparsity pattern of the input (IC(0)).  If
 a pivot becomes non-positive the factorization falls back to :func:`jacobi`
 instead of failing or shifting; the chosen kind is recorded on the result.
-Factorization and the two triangular solves are numba-compiled, with
-plain-Python fallbacks when numba is unavailable.
+Factorization and the two triangular solves are plain Python loops.
 
 IC(0)'s only caller is the explicit-matrix eigensolver
 (:func:`siglap.geomean.matrix_smallest_k_eigenpairs`), and :func:`jacobi` is
@@ -17,16 +16,7 @@ unpreconditioned (see :mod:`siglap.geomean`).
 import numpy as np
 import scipy.sparse as sp
 
-try:
-    from numba import njit
-except ImportError:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
-
-@njit(cache=True)
 def _ic0_factor(n, lp, lj, lx):
     """In-place IC(0) on lower-triangular CSR arrays; returns False on breakdown.
 
@@ -64,7 +54,6 @@ def _ic0_factor(n, lp, lj, lx):
     return True
 
 
-@njit(cache=True)
 def _lower_solve(n, lp, lj, lx, b, out):
     """Forward substitution L out = b (rows end with the diagonal)."""
     for i in range(n):
@@ -74,7 +63,6 @@ def _lower_solve(n, lp, lj, lx, b, out):
         out[i] = s / lx[lp[i + 1] - 1]
 
 
-@njit(cache=True)
 def _lower_t_solve(n, lp, lj, lx, x):
     """Backward substitution L^T x = x, in place."""
     for i in range(n - 1, -1, -1):

@@ -303,6 +303,19 @@ class TestInputErrors:
                         "--k-plus", "5"], capsys)
         assert "need 1 <= k < n" in err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--shift-eps1", "nan", "shifts must be nonnegative"),
+        ("--tol", "inf", "tol must be in (0, 1)"),
+    ])
+    def test_solver_setting_out_of_range(self, tmp_path, capsys, option,
+                                         value, message):
+        # a NaN shift would otherwise reach CG and exit 1 as a numerical
+        # failure
+        edges = write_clique(tmp_path / "edges.txt", 4)
+        err = self.run(["cluster", "--edges", edges, "--k", "2", option,
+                        value], capsys)
+        assert message in err
+
     def test_odd_bench_size(self, capsys):
         err = self.run(["bench", "--n", "11", "--repetitions", "1"], capsys)
         assert "n must be even" in err

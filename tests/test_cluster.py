@@ -251,11 +251,11 @@ class TestSpectralCluster:
         res = spectral_cluster(g, k, "GM", tol=tol)
         a, b = shifted_pair(g, ShiftConfig())
         full = geomean._inner_tol(tol)
-        pencil = PencilOperator(a, b, pcg_tol=full, kernels=pencil_kernels(g))
+        pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
         deflate = np.empty((g.n, 0))
         for pair in res.eigenpairs:
             x = pair.vector
-            y = eksm_apply_inv_sqrt(pencil, pencil.solve_a(x), tol=full).x
+            y = eksm_apply_inv_sqrt(pencil, pencil.solve_a(x, full), tol=full).x
             y -= deflate @ (deflate.T @ y)
             backward = np.linalg.norm(y - (x @ y) * x) / np.linalg.norm(y)
             assert backward <= (1.0 + geomean.INNER_RATIO) * RESID_TOL
@@ -281,6 +281,11 @@ class TestSpectralCluster:
             spectral_cluster(g, 2, method="XX")
         with pytest.raises(ValueError, match="k"):
             spectral_cluster(g, g.n + 1)
+        # tol=inf would stop each pair after one inverse step
+        for method in ("GM", "SN"):
+            for tol in (np.inf, np.nan, -1.0, 0.0, 1.0):
+                with pytest.raises(ValueError, match="tol"):
+                    spectral_cluster(g, 2, method=method, tol=tol)
 
 
 class TestLoaders:

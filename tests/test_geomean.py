@@ -22,9 +22,17 @@ def sbm_graph(n_half, seed, **kw):
     return sample(params, seed=seed)
 
 
-def sbm_pencil(n_half, seed, shift=ShiftConfig(1e-4, 1e-4), pcg_tol=1e-10, **kw):
-    a, b = shifted_pair(sbm_graph(n_half, seed, **kw), shift)
-    return PencilOperator(a, b, pcg_tol=pcg_tol)
+def sbm_pencil(n_half, seed, shift=ShiftConfig(1e-4, 1e-4), **kw):
+    return PencilOperator(*shifted_pair(sbm_graph(n_half, seed, **kw), shift))
+
+
+def dense_solve_pencil(n_half, seed, shift):
+    """``sbm_pencil`` with dense, exact solves, whatever ``tol`` asks."""
+    pencil = sbm_pencil(n_half, seed, shift)
+    a, b = dense_pair(pencil)
+    pencil.solve_a = lambda rhs, tol: np.linalg.solve(a, rhs)
+    pencil.solve_b = lambda rhs, tol: np.linalg.solve(b, rhs)
+    return pencil
 
 
 def isolate_vertex(g, v, plus=True, minus=False):
@@ -146,7 +154,7 @@ class TestEksm:
         assert rel <= 1e-8
 
     def test_error_decays_with_subspace_growth(self):
-        pencil = sbm_pencil(60, seed=3, pcg_tol=1e-13)
+        pencil = dense_solve_pencil(60, 3, ShiftConfig(1e-4, 1e-4))
         rng = np.random.default_rng(3)
         y = rng.standard_normal(120)
         # the approximant after s steps is the iterate of a call capped at
@@ -174,15 +182,14 @@ class TestEksm:
 
     def test_residual_structure_on_settled_columns(self):
         # M V restricted to all but the two frontier columns reproduces V H
-        pencil = sbm_pencil(40, seed=5, shift=ShiftConfig(1e-2, 1e-2),
-                            pcg_tol=1e-14)
+        pencil = dense_solve_pencil(40, 5, ShiftConfig(1e-2, 1e-2))
         rng = np.random.default_rng(5)
         y = rng.standard_normal(80)
         res = eksm_apply_inv_sqrt(pencil, y, tol=1e-10)
         v = res.basis
         h = res.projected
         mv = np.column_stack(
-            [pencil.solve_a(pencil.apply_b(v[:, j])) for j in range(v.shape[1])]
+            [pencil.solve_a(pencil.apply_b(v[:, j]), 0.0) for j in range(v.shape[1])]
         )
         mismatch = mv - v @ h
         settled = mismatch[:, : v.shape[1] - 2]
@@ -211,7 +218,7 @@ class TestEksm:
         # through eigh it held (A#B)^-1 x1 near 1e-7 here, and the iteration
         # ran 27 steps
         pencil, v = default_shift_pencil(two_cluster_benchmark_graph(80, 50, 3)[0])
-        res = eksm_apply_inv_sqrt(pencil, pencil.solve_a(v[:, 0]))
+        res = eksm_apply_inv_sqrt(pencil, pencil.solve_a(v[:, 0], 1e-10))
         assert res.s <= 10
         assert res.stop == "tol"
 
@@ -223,12 +230,13 @@ class TestEksm:
         a, b = shifted_pair(g, ShiftConfig(1e-9, 1e-9))
         pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
         v = dense_sym_eig(dense_geometric_mean(a.to_dense(), b.to_dense()))[1]
-        y = pencil.solve_a(v[:, 1])
+        y = pencil.solve_a(v[:, 1], 1e-10)
         res = eksm_apply_inv_sqrt(pencil, y)
         assert res.s <= 10
         assert res.stop == "floor"
         assert res.delta > 0.0
-        full = eksm_apply_inv_sqrt(pencil, y, tol=0.0)  # no tol, no floor
+        # no tol, no floor rule; the inner solves run at TOL_FLOOR
+        full = eksm_apply_inv_sqrt(pencil, y, tol=0.0)
         assert full.stop == "invariant" and full.s > 30
         assert np.linalg.norm(res.x - full.x) <= 1e-9 * np.linalg.norm(full.x)
 
@@ -239,7 +247,8 @@ class TestEksm:
         # oracle's 1.5e-6
         pencil, v = default_shift_pencil(two_cluster())
         rng = np.random.default_rng(0)
-        ys = np.column_stack([pencil.solve_a(v[:, 0]), pencil.solve_a(v[:, 1]),
+        ys = np.column_stack([pencil.solve_a(v[:, 0], 1e-10),
+                              pencil.solve_a(v[:, 1], 1e-10),
                               v[:, 0], v[:, 1],
                               rng.standard_normal((pencil.n, 8))])
         refs = mp_inv_sqrt_apply(*dense_pair(pencil), ys)
@@ -393,39 +402,30 @@ class TestSmallestK:
 
 
 @pytest.fixture
-def eksm_tolerances(monkeypatch):
-    """``(tol, pencil.pcg_tol)`` of every ``eksm_apply_inv_sqrt`` call."""
-    calls = []
-    eksm = geomean.eksm_apply_inv_sqrt
+def tolerances(monkeypatch):
+    """``(name, tol, inner)`` of every ``eksm_apply_inv_sqrt`` call ("eksm")
+    and every ``pcg_solve`` outside one ("cg"), in call order; ``inner``
+    holds the tolerances of the solves a Krylov call makes."""
+    events, inner = [], []
+    eksm, pcg = geomean.eksm_apply_inv_sqrt, geomean.pcg_solve
 
-    def recording(pencil, y, tol=geomean.DEFAULT_EKSM_TOL, **kw):
-        calls.append((tol, pencil.pcg_tol))
-        return eksm(pencil, y, tol=tol, **kw)
+    def recording_eksm(pencil, y, tol=geomean.DEFAULT_EKSM_TOL, **kw):
+        events.append(("eksm", tol, set()))
+        inner.append(events[-1][2])
+        out = eksm(pencil, y, tol=tol, **kw)
+        inner.pop()
+        return out
 
-    monkeypatch.setattr(geomean, "eksm_apply_inv_sqrt", recording)
-    return calls
-
-
-@pytest.fixture
-def pcg_tolerances(monkeypatch):
-    """The ``tol`` of every ``pcg_solve`` call."""
-    tols = []
-    pcg = geomean.pcg_solve
-
-    def recording(*args, tol, **kw):
-        tols.append(tol)
+    def recording_pcg(*args, tol, **kw):
+        if inner:
+            inner[-1].add(tol)
+        else:
+            events.append(("cg", tol, set()))
         return pcg(*args, tol=tol, **kw)
 
-    monkeypatch.setattr(geomean, "pcg_solve", recording)
-    return tols
-
-
-def step_tol(tol, resid_tol):
-    """The inner tolerance of every outer step: 1% of a relaxed acceptance
-    test, and a strict call's full accuracy otherwise."""
-    if resid_tol > 0.0:
-        return max(geomean._inner_tol(tol), geomean.INNER_RATIO * resid_tol)
-    return geomean._inner_tol(tol)
+    monkeypatch.setattr(geomean, "eksm_apply_inv_sqrt", recording_eksm)
+    monkeypatch.setattr(geomean, "pcg_solve", recording_pcg)
+    return events
 
 
 class TestInexactSteps:
@@ -433,26 +433,24 @@ class TestInexactSteps:
                              ids=["strict", "relaxed"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gm_inverse_steps_run_at_the_step_tolerance(
-            self, eksm_tolerances, seed, resid_tol):
+            self, tolerances, seed, resid_tol):
         g = two_cluster_benchmark_graph(80, 50, seed)[0]
         tol = 1e-8
         pairs = smallest_eigenpairs(g, 2, "GM", tol=tol, seed=seed,
                                     resid_tol=resid_tol)
-        full, step = geomean._inner_tol(tol), step_tol(tol, resid_tol)
-        # each pair makes its inverse steps, then one application of A # B
-        # for its value and residual
-        start = 0
+        full, step = geomean._inner_tol(tol), geomean._step_tol(tol, resid_tol)
+        # each pair makes its inverse steps, a solve with A and a Krylov
+        # call, then one application of A # B for its value and residual
+        inverse_step = [("cg", step, set()), ("eksm", step, {step})]
+        expected = []
         for pair in pairs:
-            steps = eksm_tolerances[start:start + pair.iterations]
-            assert steps == [(step, step)] * pair.iterations
-            assert eksm_tolerances[start + pair.iterations] == (full, full)
-            start += pair.iterations + 1
-        assert start == len(eksm_tolerances)
+            expected += inverse_step * pair.iterations + [("eksm", full, {full})]
+        assert tolerances == expected
 
     @pytest.mark.parametrize("resid_tol", [0.0, RESID_TOL],
                              ids=["strict", "relaxed"])
     def test_explicit_inverse_steps_run_at_the_step_tolerance(
-            self, pcg_tolerances, resid_tol):
+            self, tolerances, resid_tol):
         # SN's second and third eigenvalues on the two-cluster graphs lie
         # within 2% of each other, too close for strict convergence
         g = empty_minus()
@@ -461,22 +459,8 @@ class TestInexactSteps:
         # SN's values and residuals come from products with the matrix, so
         # every solve is an inverse step
         n_steps = sum(p.iterations for p in pairs)
-        assert pcg_tolerances == [step_tol(tol, resid_tol)] * n_steps
-
-    def test_relaxed_steps_ignore_the_pencils_own_tolerance(
-            self, eksm_tolerances):
-        # strict calls keep a tighter pcg_tol of the pencil, as do values
-        # and residuals; relaxed outer steps run at the step tolerance
-        tol = 1e-8
-        full, step = geomean._inner_tol(tol), step_tol(tol, RESID_TOL)
-        for resid_tol, expected in ((0.0, 1e-12), (RESID_TOL, step)):
-            eksm_tolerances.clear()
-            pairs = smallest_k_eigenpairs(sbm_pencil(20, 0, pcg_tol=1e-12), 1,
-                                          tol=tol, resid_tol=resid_tol)
-            n_steps = pairs[0].iterations
-            pcg_tols = [p for _, p in eksm_tolerances[:n_steps]]
-            assert pcg_tols == [expected] * n_steps
-            assert eksm_tolerances[n_steps] == (full, 1e-12)
+        step = geomean._step_tol(tol, resid_tol)
+        assert tolerances == [("cg", step, set())] * n_steps
 
 
 class TestJacobiPencil:
@@ -541,7 +525,8 @@ class TestPencilKernels:
         a, b = shifted_pair(g, ShiftConfig(1e-4, 1e-4))
         pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
         rhs = np.random.default_rng(32).standard_normal(g.n)
-        np.testing.assert_allclose(pencil.solve_b(rhs), rhs / 1e-4, rtol=1e-12)
+        np.testing.assert_allclose(pencil.solve_b(rhs, 1e-10), rhs / 1e-4,
+                                   rtol=1e-12)
         assert pcg_iterations == [0]
 
     def test_indefinite_kernel_rejected(self):
@@ -558,8 +543,8 @@ class TestPencilKernels:
         for eps in (1e-6, 1e-10):
             a, b = shifted_pair(g, ShiftConfig(eps, eps))
             pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
-            pencil.solve_a(rhs)
-            pencil.solve_b(rhs)
+            pencil.solve_a(rhs, 1e-10)
+            pencil.solve_b(rhs, 1e-10)
         assert pcg_iterations[:2] == pcg_iterations[2:]
 
     @pytest.mark.parametrize("case", ["two-cluster", "isolated-plus",
@@ -571,7 +556,7 @@ class TestPencilKernels:
         rhs = np.random.default_rng(34).standard_normal(g.n)
         for solve, m in ((pencil.solve_a, a), (pencil.solve_b, b)):
             x = np.linalg.solve(m.to_dense(), rhs)
-            assert np.linalg.norm(solve(rhs) - x) <= 1e-9 * np.linalg.norm(x)
+            assert np.linalg.norm(solve(rhs, 1e-10) - x) <= 1e-9 * np.linalg.norm(x)
 
 
 GM_HARD_CASES = {

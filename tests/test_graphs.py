@@ -213,8 +213,9 @@ class TestShiftedPair:
     def test_shift_config_validation(self):
         with pytest.raises(ValueError, match="below 1"):
             ShiftConfig(0.5, 0.5)
-        with pytest.raises(ValueError, match="nonnegative"):
-            ShiftConfig(-0.1, 0.1)
+        for eps in ((-0.1, 0.1), (np.nan, 1e-6), (1e-6, np.nan)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ShiftConfig(*eps)
 
 
 class TestEdgeList:

@@ -37,8 +37,9 @@ class TestPcgBasics:
         assert err.value.iterate.shape == (30,)
 
     def test_invalid_tol(self):
-        with pytest.raises(ValueError):
-            pcg_solve(SparseSymMatrix.identity(2), np.ones(2), tol=0.0)
+        for tol in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                pcg_solve(SparseSymMatrix.identity(2), np.ones(2), tol=tol)
 
 
 class TestPcgAgainstDenseSolves:

@@ -6,10 +6,20 @@ canonicalizes (sorted column indices, duplicates summed).  Outside input
 (a scipy matrix or a dense array) is verified to be exactly symmetric, both
 structurally and numerically; edge lists and the algebra below build
 symmetric matrices by construction.  Everything downstream may rely on it.
+
+Row pointers and column indices are stored as int32 whenever the order and
+the number of stored entries fit (below ``2**31``), whatever index type the
+input had: an entry then takes 12 bytes instead of 16, and a product reads
+less memory.  :meth:`SparseSymMatrix.matvec` calls scipy's compiled CSR
+kernel (``csr_matvec`` in ``scipy.sparse._sparsetools``) directly.  That is
+the kernel ``csr @ x`` ends in, so the result has the same bits; the call
+only skips the Python dispatch around it, which costs more than the
+arithmetic at a few hundred vertices.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 
 class SparseSymMatrix:
@@ -20,10 +30,11 @@ class SparseSymMatrix:
     n : int
         Matrix order.
     row_ptr, col_idx, values : ndarray
-        The raw CSR arrays (``row_ptr`` has length ``n + 1``).
+        The raw CSR arrays (``row_ptr`` has length ``n + 1``); the two index
+        arrays are int32 whenever they fit.
     """
 
-    __slots__ = ("_csr", "n")
+    __slots__ = ("_csr", "_arrays", "n")
 
     def __init__(self, csr, _skip_checks=False):
         if not sp.issparse(csr):
@@ -33,7 +44,13 @@ class SparseSymMatrix:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
         csr.sum_duplicates()
         csr.sort_indices()
+        if max(csr.nnz, csr.shape[0]) <= np.iinfo(np.int32).max:
+            csr.indptr = csr.indptr.astype(np.int32, copy=False)
+            csr.indices = csr.indices.astype(np.int32, copy=False)
         self._csr = csr
+        # the kernel's arguments, looked up once: scipy's attribute access
+        # costs a fifth of a product at n = 80
+        self._arrays = (csr.indptr, csr.indices, csr.data)
         self.n = csr.shape[0]
         if not _skip_checks:
             self._check_symmetry()
@@ -112,7 +129,10 @@ class SparseSymMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        return self._csr @ x
+        y = np.zeros(self.n)
+        # the kernel adds M @ x into y, which is why y starts at zero
+        _sparsetools.csr_matvec(self.n, self.n, *self._arrays, x, y)
+        return y
 
     def matmat(self, X):
         """Product against an ``n x m`` block of column vectors."""

@@ -71,6 +71,9 @@ DEFAULT_MAX_OUTER = 500
 # a_orthonormalize reports breakdown once a vector keeps less than this
 # fraction of its A-norm after projection
 BREAKDOWN_RTOL = 1e-12
+# basis vectors eksm_apply_inv_sqrt makes room for before its buffer first
+# doubles
+BASIS_CAPACITY = 16
 # diagonal shift that makes a positive semidefinite matrix definite for the
 # inner solves of matrix_smallest_k_eigenpairs
 MATRIX_SHIFT = 1e-6
@@ -139,32 +142,33 @@ def a_orthonormalize(basis, w, apply_a, a_basis=None):
     """Orthonormalize ``w`` against ``basis`` in the ``<u, v> = u' A v`` product.
 
     ``basis`` must already be A-orthonormal; ``a_basis`` may cache ``A @ basis``.
-    Uses two Gram-Schmidt passes (full reorthogonalization).  Returns
-    ``(q, A @ q)`` with ``q' A q = 1``, or ``None`` when the projected vector
-    loses a factor ``BREAKDOWN_RTOL`` of its A-norm, i.e. ``w`` lies in the
-    span and an invariant subspace has been found.
+    Uses two Gram-Schmidt passes (full reorthogonalization) and one product
+    with ``A``, of the projected vector ``p``.  Returns ``(q, A @ q)`` with
+    ``q' A q = 1``, or ``None`` when ``p`` keeps less than a fraction
+    ``BREAKDOWN_RTOL`` of the A-norm of ``w``, i.e. ``w`` lies in the span and
+    an invariant subspace has been found.  That A-norm is
+    ``sqrt(||c||^2 + p' A p)`` for the projection coefficients ``c``, so it
+    needs no product of its own.
     """
     w = np.array(w, dtype=np.float64)
-    aw = apply_a(w)
-    pre = float(w @ aw)
-    if pre < 0.0:
-        raise IndefiniteOperatorError("inner-product operator is not positive definite")
-    pre = np.sqrt(pre)
-    if pre == 0.0:
-        return None
-
+    removed_sq = 0.0
     if basis is not None and basis.shape[1] > 0:
         if a_basis is None:
             a_basis = np.column_stack([apply_a(basis[:, j]) for j in range(basis.shape[1])])
+        c = np.zeros(basis.shape[1])
         for _ in range(2):
-            w -= basis @ (a_basis.T @ w)
-        aw = apply_a(w)
+            proj = a_basis.T @ w
+            w -= basis @ proj
+            c += proj
+        removed_sq = float(c @ c)
 
+    aw = apply_a(w)
     s = float(w @ aw)
     if s < 0.0:
         raise IndefiniteOperatorError("inner-product operator is not positive definite")
     nrm = np.sqrt(s)
-    if nrm < BREAKDOWN_RTOL * pre:
+    full = np.sqrt(removed_sq + s)
+    if full == 0.0 or nrm < BREAKDOWN_RTOL * full:
         return None
     return w / nrm, aw / nrm
 
@@ -179,8 +183,8 @@ class EksmResult:
     invariant subspace).  ``delta`` is the last measured relative A-norm
     difference of successive approximants, ``nan`` if the subspace closed
     before a second approximant existed.  ``basis`` holds the A-orthonormal
-    basis the iteration built and ``projected`` its projected matrix
-    ``basis' B basis``.
+    basis the iteration built, as columns, and ``projected`` its projected
+    matrix ``basis' B basis``.
     """
 
     x: np.ndarray
@@ -235,6 +239,14 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
     The inner solves with ``A`` and ``B`` run at ``tol`` too, but never
     below ``TOL_FLOOR``, so ``tol = 0`` turns off the first two rules only.
 
+    The basis, ``A`` times it and ``B`` times it share one ``3 x cap x n``
+    buffer, one contiguous vector per row.  ``cap`` starts at
+    ``BASIS_CAPACITY`` (or ``n`` if smaller) and doubles, up to ``n``,
+    whenever a vector does not fit, so memory follows the subspace actually
+    built rather than ``max_s``.  Each appended vector costs one product with
+    ``A``, inside :func:`a_orthonormalize`, and one with ``B``.
+    :attr:`EksmResult.basis` is an ``n x m`` view of the buffer.
+
     Raises :class:`ConvergenceError` after ``max_s`` iterations (the last
     iterate and gap travel with the exception) and
     :class:`IndefiniteOperatorError` if the projected matrix loses positive
@@ -251,9 +263,9 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
     y_anorm = np.sqrt(y_anorm)
     solve_tol = max(tol, TOL_FLOOR)
 
-    basis = np.empty((n, 0))
-    a_basis = np.empty((n, 0))
-    b_basis = np.empty((n, 0))
+    # rows of buf[0], buf[1], buf[2]: basis, A basis, B basis
+    buf = np.empty((3, min(n, BASIS_CAPACITY), n))
+    m = 0
     u = y
     v = pencil.solve_b(ay, solve_tol)
     u_idx = v_idx = -1
@@ -265,17 +277,20 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
     stop = None
 
     def append(w):
-        nonlocal basis, a_basis, b_basis
-        if basis.shape[1] >= n:
+        nonlocal buf, m
+        if m >= n:
             return None
-        res = a_orthonormalize(basis, w, pencil.apply_a, a_basis)
+        res = a_orthonormalize(buf[0, :m].T, w, pencil.apply_a, buf[1, :m].T)
         if res is None:
             return None
-        q, aq = res
-        basis = np.column_stack([basis, q])
-        a_basis = np.column_stack([a_basis, aq])
-        b_basis = np.column_stack([b_basis, pencil.apply_b(q)])
-        return basis.shape[1] - 1
+        if m == buf.shape[1]:
+            grown = np.empty((3, min(n, 2 * m), n))
+            grown[:, :m] = buf[:, :m]
+            buf = grown
+        buf[0, m], buf[1, m] = res
+        buf[2, m] = pencil.apply_b(res[0])
+        m += 1
+        return m - 1
 
     s = 0
     for s in range(1, max_s + 1):
@@ -296,7 +311,7 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
             # nothing was appended: the last approximant is final
             stop = "invariant"
             break
-        h = basis.T @ b_basis
+        h = buf[0, :m] @ buf[2, :m].T
         h = 0.5 * (h + h.T)
         coef = _projected_inv_sqrt_e1(h, y_anorm)
         if prev_coef is not None:
@@ -316,11 +331,11 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
             break
         prev_coef = coef
         if u_alive:
-            u = pencil.solve_a(b_basis[:, u_idx], solve_tol)
+            u = pencil.solve_a(buf[2, u_idx], solve_tol)
         if v_alive:
-            v = pencil.solve_b(a_basis[:, v_idx], solve_tol)
+            v = pencil.solve_b(buf[1, v_idx], solve_tol)
 
-    x = basis[:, :coef.shape[0]] @ coef
+    x = coef @ buf[0, :coef.shape[0]]
     if stop is None:
         raise ConvergenceError(
             f"extended Krylov iteration did not reach tol={tol:g} or its "
@@ -329,7 +344,7 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
             residual=delta,
             iterations=s,
         )
-    return EksmResult(x=x, s=s, delta=delta, stop=stop, basis=basis,
+    return EksmResult(x=x, s=s, delta=delta, stop=stop, basis=buf[0, :m].T,
                       projected=h)
 
 
@@ -439,6 +454,8 @@ def _smallest_k(inv_apply, apply, n, k, tol, max_iter, seed, resid_tol):
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 <= resid_tol < 1.0:  # NaN fails too
+        raise ValueError(f"resid_tol must be in [0, 1), got {resid_tol}")
     basis = np.empty((n, 0))
     pairs = []
     for child in as_seed_sequence(seed).spawn(k):

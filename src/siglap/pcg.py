@@ -37,22 +37,26 @@ def pcg_solve(m, b, preconditioner=None, tol=1e-10, max_iter=None):
     r = b.copy()
     z = preconditioner.solve(r) if preconditioner is not None else r
     p = z.copy()
-    rz = float(r @ z)
+    rz = float(r.dot(z))
     if rz <= 0.0:
         raise IndefiniteOperatorError("preconditioner produced a non-positive inner product")
 
+    # updates run in place: at a few hundred unknowns, temporaries and the
+    # dispatch of ``@`` cost more than the arithmetic; ``p *= beta; p += z``
+    # rounds exactly like ``z + beta * p``
     for k in range(1, max_iter + 1):
         mp = m.matvec(p)
-        p_mp = float(p @ mp)
+        p_mp = float(p.dot(mp))
         if p_mp <= 0.0:
             raise IndefiniteOperatorError(
                 f"non-positive curvature {p_mp:.3e} at iteration {k}; operator is not SPD"
             )
         alpha = rz / p_mp
         x += alpha * p
-        r -= alpha * mp
+        mp *= alpha
+        r -= mp
         if preconditioner is None:
-            rz_new = float(r @ r)
+            rz_new = float(r.dot(r))
             if rz_new <= stop_sq:
                 return x, k
             z = r
@@ -60,12 +64,12 @@ def pcg_solve(m, b, preconditioner=None, tol=1e-10, max_iter=None):
             if np.linalg.norm(r) <= tol * b_norm:
                 return x, k
             z = preconditioner.solve(r)
-            rz_new = float(r @ z)
+            rz_new = float(r.dot(z))
             if rz_new <= 0.0:
                 raise IndefiniteOperatorError(
                     "preconditioner produced a non-positive inner product")
-        beta = rz_new / rz
-        p = z + beta * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
 
     raise ConvergenceError(

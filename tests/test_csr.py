@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from siglap import SparseSymMatrix
+from siglap import ShiftConfig, SparseSymMatrix, shifted_pair
+from siglap.graphs import SIGNED_KINDS, signed_laplacian
+from siglap.sbm import two_cluster_benchmark_graph
 
 
 def random_sym(n, density, rng):
@@ -50,7 +52,69 @@ class TestConstruction:
             assert np.all(np.diff(cols) > 0)
 
 
+def int64_csr(m):
+    csr = m.to_scipy()
+    return sp.csr_array((csr.data, csr.indices.astype(np.int64),
+                         csr.indptr.astype(np.int64)), shape=csr.shape)
+
+
+def by_name(matrices):
+    return [pytest.param(m, id=name) for name, m in sorted(matrices.items())]
+
+
+def construction_routes():
+    a = SparseSymMatrix.from_dense([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+    eye = SparseSymMatrix.identity(3)
+    return {
+        "from_undirected_edges":
+            SparseSymMatrix.from_undirected_edges(3, [0, 1], [1, 2], [1.0, 2.0]),
+        "from_dense": a,
+        "identity": eye,
+        "diagonal": SparseSymMatrix.diagonal([1.0, 2.0, 3.0]),
+        "add": a + eye,
+        "sub": a - eye,
+        "mul": 2.0 * a,
+        "scale_symmetric": a.scale_symmetric(np.array([1.0, 2.0, 3.0])),
+        "add_diagonal": a.add_diagonal(0.5),
+        "int64 csr": SparseSymMatrix(int64_csr(a)),
+    }
+
+
+class TestIndexDtype:
+    @pytest.mark.parametrize("m", by_name(construction_routes()))
+    def test_every_route_stores_int32_indices(self, m):
+        assert m.row_ptr.dtype == np.int32
+        assert m.col_idx.dtype == np.int32
+
+    def test_int64_input_keeps_its_entries(self):
+        a = construction_routes()["from_dense"]
+        np.testing.assert_array_equal(SparseSymMatrix(int64_csr(a)).to_dense(),
+                                      a.to_dense())
+
+
+def graph_operators():
+    g = two_cluster_benchmark_graph(60, 20, 2)[0]
+    ops = {kind: signed_laplacian(g, kind) for kind in SIGNED_KINDS}
+    ops["GM A"], ops["GM B"] = shifted_pair(g, ShiftConfig())
+    return ops
+
+
 class TestSpmv:
+    @pytest.mark.parametrize("m", by_name(graph_operators()))
+    def test_matches_scipy_bit_for_bit(self, m):
+        # matvec calls the kernel that scipy's own product ends in
+        x = np.random.default_rng(1).standard_normal((m.n, 3))
+        reference = m.to_scipy()
+        assert np.array_equal(m.matvec(x[:, 1]), reference @ x[:, 1])
+        assert np.array_equal(m.matvec(x[:, 0].copy()), reference @ x[:, 0])
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), (1, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        # the compiled kernel does not check lengths: a short x would be
+        # read past its end
+        with pytest.raises(ValueError, match="length 3"):
+            SparseSymMatrix.identity(3).matvec(np.ones(shape))
+
     def test_laplacian_kernel(self):
         m = SparseSymMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]])
         assert np.array_equal(m.matvec(np.ones(2)), np.zeros(2))

@@ -114,6 +114,21 @@ class TestAOrthonormalize:
         w = np.array([1.0, -2.0, 0.0])
         assert a_orthonormalize(basis, w, lambda v: v) is None
 
+    def test_breakdown_signal_in_the_a_product(self):
+        # the reference A-norm comes from the projection coefficients, so a
+        # vector in the span (or zero) still reports breakdown
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((8, 8))
+        a = m @ m.T + 8 * np.eye(8)
+        basis, a_basis = np.empty((8, 0)), np.empty((8, 0))
+        for _ in range(3):
+            q, aq = a_orthonormalize(basis, rng.standard_normal(8), lambda v: a @ v)
+            basis, a_basis = np.column_stack([basis, q]), np.column_stack([a_basis, aq])
+        w = basis @ np.array([2.0, -1.0, 0.5])
+        assert a_orthonormalize(basis, w, lambda v: a @ v, a_basis) is None
+        assert a_orthonormalize(basis, np.zeros(8), lambda v: a @ v, a_basis) is None
+        assert a_orthonormalize(None, np.zeros(8), lambda v: a @ v) is None
+
     def test_result_is_a_orthonormal(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((8, 8))
@@ -204,6 +219,38 @@ class TestEksm:
         v = res.basis
         gram = v.T @ pencil.a.matmat(v)
         assert np.abs(gram - np.eye(v.shape[1])).max() <= 1e-8
+
+    def test_grown_basis_stays_a_orthonormal(self):
+        # tol = 0 runs until the subspace closes, several times past the
+        # buffer's first capacity
+        g = two_cluster_benchmark_graph(80, 50, 1)[0]
+        a, b = shifted_pair(g, ShiftConfig())
+        pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
+        y = np.random.default_rng(2).standard_normal(80)
+        res = eksm_apply_inv_sqrt(pencil, y, tol=0.0)
+        v = res.basis
+        assert res.s > 30 and v.shape[1] > 2 * geomean.BASIS_CAPACITY
+        assert np.abs(v.T @ a.matmat(v) - np.eye(v.shape[1])).max() <= 1e-10
+        bvv = v.T @ b.matmat(v)
+        np.testing.assert_allclose(res.projected, 0.5 * (bvv + bvv.T),
+                                   rtol=0, atol=1e-12 * np.abs(bvv).max())
+
+    def test_one_product_with_each_operand_per_basis_vector(self):
+        pencil = sbm_pencil(30, seed=9)
+        counts = {"a": 0, "b": 0}
+
+        def counting(side, apply):
+            def wrapped(x):
+                counts[side] += 1
+                return apply(x)
+            return wrapped
+
+        pencil.apply_a = counting("a", pencil.apply_a)
+        pencil.apply_b = counting("b", pencil.apply_b)
+        res = eksm_apply_inv_sqrt(pencil, np.random.default_rng(9).standard_normal(60))
+        assert res.stop == "tol"
+        # plus one product with A for the A-norm of y
+        assert counts == {"a": res.basis.shape[1] + 1, "b": res.basis.shape[1]}
 
     def test_nonconvergence_carries_iterate(self):
         pencil = sbm_pencil(40, seed=7, shift=ShiftConfig(1e-6, 1e-6))
@@ -399,6 +446,16 @@ class TestSmallestK:
         pencil = sbm_pencil(10, seed=1)
         with pytest.raises(ValueError, match="max_iter"):
             solve(pencil, 1, max_iter=0)
+
+    @pytest.mark.parametrize("resid_tol", [np.inf, np.nan, -1.0, 1.0])
+    @pytest.mark.parametrize("solve", [
+        smallest_k_eigenpairs,
+        lambda pencil, k, **kw: matrix_smallest_k_eigenpairs(pencil.a, k, **kw),
+    ], ids=["pencil", "matrix"])
+    def test_resid_tol_validation(self, solve, resid_tol):
+        pencil = sbm_pencil(10, seed=1)
+        with pytest.raises(ValueError, match="resid_tol"):
+            solve(pencil, 1, resid_tol=resid_tol)
 
 
 @pytest.fixture

@@ -86,9 +86,11 @@ class TestSample:
 
 
 def graph_digest(g):
+    # indices are hashed as int64 whatever their storage type, so the pins
+    # track the graph, not its index width
     h = hashlib.sha256()
     for m in (g.w_plus, g.w_minus):
-        for a in (m.row_ptr, m.col_idx, m.values):
+        for a in (m.row_ptr.astype(np.int64), m.col_idx.astype(np.int64), m.values):
             h.update(a.dtype.str.encode())
             h.update(a.tobytes())
     return h.hexdigest()

@@ -6,7 +6,7 @@ The package splits into a small stack of layers:
   :mod:`siglap.densela` -- sparse/dense linear algebra primitives;
 * :mod:`siglap.graphs` -- signed graphs and their Laplacian operators;
 * :mod:`siglap.geomean` -- matrix-free eigensolver for the geometric mean of
-  an SPD pair (extended Krylov inverse square root + inverse power method);
+  an SPD pair (extended Krylov inverse square root + Lanczos);
 * :mod:`siglap.sbm` -- signed stochastic block model, expected spectra, and
   the eigenvalue-ordering condition calculus;
 * :mod:`siglap.cluster` -- embeddings, k-means, error metrics, neighborhood

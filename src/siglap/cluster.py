@@ -183,12 +183,10 @@ class SpectralClusteringResult:
     method: str
 
 
-# spectral_cluster accepts an eigenvector once its backward error is below
-# RESID_TOL even while it still rotates inside a cluster of nearly equal
-# eigenvalues; that wander is irrelevant to k-means (the embedding subspace is
-# what matters) and waiting it out would cost thousands of iterations on
-# block-model graphs, whose planted eigenvalues are nearly degenerate by
-# construction.
+# spectral_cluster's backward-error test.  GM's Lanczos only runs its
+# inverse at 1% of it.  The explicit methods accept a vector at it even while
+# it still rotates inside a cluster of nearly equal eigenvalues, a wander
+# k-means does not see, which would take thousands of iterations to settle.
 RESID_TOL = 1e-4
 
 
@@ -199,8 +197,8 @@ def smallest_eigenpairs(g, k, method, shift=None, tol=1e-8, seed=0,
     ``GM`` is the geometric mean of the shifted normalized pair (``shift``,
     default :class:`ShiftConfig`), solved matrix-free with inner solves
     deflated by the pair's kernels; ``SN``/``BN``/``AM``
-    are explicit matrices (``shift`` is ignored).  ``resid_tol=0`` asks for
-    strict per-vector convergence.
+    are explicit matrices (``shift`` is ignored).  ``resid_tol > 0`` loosens
+    the inner solves and accepts explicit-method vectors at that error.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -219,9 +217,9 @@ def spectral_cluster(g, k, method="GM", shift=None, seed=0, restarts=10,
                      tol=1e-8):
     """Cluster a signed graph from the k smallest eigenvectors of an operator.
 
-    ``method`` selects the operator (see :func:`smallest_eigenpairs`); the
-    eigenvectors are accepted at backward error ``RESID_TOL`` and the
-    embedding rows are then clustered with k-means.
+    ``method`` selects the operator (see :func:`smallest_eigenpairs`), solved
+    with ``resid_tol=RESID_TOL``; the embedding rows are then clustered with
+    k-means.
     """
     if g.n == 0:
         raise ValueError("graph is empty")

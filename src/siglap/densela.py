@@ -82,38 +82,6 @@ def dense_geometric_mean(a, b):
     return 0.5 * (g + g.T)
 
 
-def geometric_mean_representations(a, b):
-    """The four product forms ``a (a^-1 b)^(1/2)``, ``(b a^-1)^(1/2) a``,
-    ``b (b^-1 a)^(1/2)`` and ``(a b^-1)^(1/2) b`` of the geometric mean.
-
-    Uses Schur-based square roots of the (non-symmetric) quotient matrices,
-    which is a computation path independent of :func:`dense_geometric_mean`;
-    agreement between the five values is a library acceptance check.
-    """
-    # imported here: nothing else in the package needs scipy.linalg, and
-    # loading it made up about a quarter of the time of `import siglap`
-    import scipy.linalg
-
-    a = check_symmetric(a)
-    b = check_symmetric(b)
-    _check_cap(a)
-
-    def rootm(m):
-        r = scipy.linalg.sqrtm(m)
-        if np.iscomplexobj(r):
-            if np.abs(r.imag).max() > 1e-8 * max(np.abs(r.real).max(), 1.0):
-                raise IndefiniteOperatorError("quotient matrix has no real square root")
-            r = r.real
-        return r
-
-    return [
-        a @ rootm(np.linalg.solve(a, b)),
-        rootm(b @ np.linalg.inv(a)) @ a,
-        b @ rootm(np.linalg.solve(b, a)),
-        rootm(a @ np.linalg.inv(b)) @ b,
-    ]
-
-
 def pencil_inv_sqrt_apply(a, b, y):
     """Dense evaluation of ``(a^-1 b)^(-1/2) y`` for SPD ``a``, ``b``.
 

@@ -10,45 +10,35 @@ operands are sparse, so it is never formed.  Instead:
   product ``<u, v> = u' A v`` so the projected matrix is simply ``V' B V``.
   It grows until successive approximants agree to the tolerance or, at small
   shifts, until they stop improving at the floor that rounding sets;
-* the smallest eigenpairs then come from inverse power iteration with
-  Euclidean deflation against previously found vectors.
+* the smallest eigenpairs of ``A # B``, the largest of ``(A # B)^-1``, come
+  from implicitly restarted Lanczos (ARPACK ``eigsh``; Lehoucq & Sorensen,
+  SIMAX 17(4), 1996) on that inexact inverse (Simoncini, SINUM 43(3), 2005).
 
 Every solve takes its tolerance as an argument, and this one policy sets it:
 
 * full accuracy for an outer tolerance ``tol`` is ``_inner_tol(tol)``, 1% of
   ``tol`` clipped to ``[TOL_FLOOR, DEFAULT_EKSM_TOL]``;
-* :func:`_inverse_iteration` computes one step tolerance and passes it to
-  every ``inv_apply(x, rtol)``.  Strict calls (``resid_tol = 0``) solve every
-  step at full accuracy.  Under a relaxed backward-error test ``resid_tol``
-  the steps are inexact (Golub & Ye, BIT 40(4), 2000; Berns-Müller, Graham &
-  Spence, LAA 416, 2006): each is solved to ``INNER_RATIO * resid_tol``, 1% of
-  the test that accepts it, never more tightly than at full accuracy, and the
-  outer step counts do not change;
-* on the pencil, ``rtol`` is the tolerance of the solve with ``A``, of the
-  Krylov inverse square root and of its inner solves; on a single matrix it
-  is the CG tolerance;
+* every ``inv_apply(x, rtol)`` of one eigensolve, and Lanczos' tolerance,
+  get ``_step_tol(tol, resid_tol)``: full accuracy on strict calls, else
+  ``INNER_RATIO * resid_tol``, never tighter (Golub & Ye, BIT 40(4), 2000;
+  Berns-Müller, Graham & Spence, LAA 416, 2006).  On the pencil ``rtol``
+  holds for the solve with ``A``, the Krylov inverse square root and its
+  inner solves; on a single matrix it is the CG tolerance;
 * values and residuals are always measured at full accuracy: through
   ``A # B`` applied at ``_inner_tol(tol)``, or exactly for a single matrix.
 
-Every inner system of the pencil (with ``A`` or with ``B``) is solved on the
-complement of known eigenvectors and exactly on their span.  For the shifted
-pair of a signed graph these are the kernels of ``Lsym+`` and ``Qsym-``
-(:func:`siglap.graphs.pencil_kernels`), the eigenvectors of ``A`` and ``B``
-with eigenvalues ``eps1`` and ``eps2`` that make both ill conditioned.
-Deflated CG (Saad, Yeung, Erhel & Guyomarc'h, SISC 21(5), 2000) then only
-sees the spectrum off the kernels, so its iteration count does not depend on
-the shifts.  It runs without a preconditioner: the diagonals of ``Lsym+`` and
-``Qsym-`` are 1 at every vertex of positive degree, so Jacobi would only
-scale by ``1 / (1 + eps)``, and the ``eps``-only rows of isolated vertices
-are kernel vectors, solved exactly.  Nor does IC(0): its triangular solves
-run in pure Python and cost far more than the CG iterations they save.  The
-explicit-matrix path below still builds IC(0) for its one shifted matrix.
+Every inner system of the pencil is solved exactly on known eigenvectors,
+for a signed graph the kernels of ``Lsym+`` and ``Qsym-`` whose shifts
+``eps1`` and ``eps2`` make ``A`` and ``B`` ill conditioned, and by deflated,
+unpreconditioned CG (Saad, Yeung, Erhel & Guyomarc'h, SISC 21(5), 2000) on
+their complement, in as many iterations whatever the shifts.  Jacobi would
+only scale by ``1 / (1 + eps)``; IC(0)'s pure-Python solves cost more than
+they save.
 
-One deflated inverse iteration serves both entry points:
-:func:`smallest_k_eigenpairs` for the pencil and
-:func:`matrix_smallest_k_eigenpairs` for a single sparse symmetric matrix (the
-arithmetic-mean style operators of the clustering front end).  Each supplies
-only the operator and its inverse.
+:func:`smallest_k_eigenpairs` (the pencil) runs Lanczos;
+:func:`matrix_smallest_k_eigenpairs` (one sparse symmetric matrix, the
+explicit operators of the clustering front end) still runs sequential
+deflated inverse iteration with IC(0) preconditioned inner solves.
 """
 
 import warnings
@@ -77,8 +67,8 @@ BASIS_CAPACITY = 16
 # diagonal shift that makes a positive semidefinite matrix definite for the
 # inner solves of matrix_smallest_k_eigenpairs
 MATRIX_SHIFT = 1e-6
-# under a relaxed acceptance test resid_tol, each outer step's inner solves
-# run to INNER_RATIO * resid_tol
+# under a relaxed backward-error test resid_tol, the inverse is applied at
+# INNER_RATIO * resid_tol
 INNER_RATIO = 1e-2
 
 
@@ -135,7 +125,8 @@ def _deflated_solve(m, kernel, values, rhs, tol):
     # meets the small eigenvalues, and the span is solved exactly
     c = kernel.coefficients(rhs)
     x = pcg_solve(m, rhs - kernel.combine(c), tol=tol)[0]
-    return x + kernel.combine(c / values)
+    x += kernel.combine(c / values)
+    return x
 
 
 def a_orthonormalize(basis, w, apply_a, a_basis=None):
@@ -229,10 +220,8 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
       Rounding, amplified by the spread of the spectrum of ``M`` (about
       ``4 / (eps1 eps2)`` for the shifted pair of a signed graph), stops the
       approximants improving at a floor that can lie above ``tol`` at small
-      shifts.  On two-cluster graphs with n = 80, the value ``x' (A # B) x``
-      they give at an eigenvector is off by about 2e-8 relative at shifts
-      of 1e-6 and 4e-5 at 1e-8.  Past the floor each step only adds noise
-      of that size;
+      shifts (on n = 80 two-cluster graphs, 2e-8 relative in
+      ``x' (A # B) x`` at shifts of 1e-6).  Past it, steps only add noise;
     * ``"invariant"``: both chains close on an invariant subspace, where the
       approximant is exact.
 
@@ -240,12 +229,10 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
     below ``TOL_FLOOR``, so ``tol = 0`` turns off the first two rules only.
 
     The basis, ``A`` times it and ``B`` times it share one ``3 x cap x n``
-    buffer, one contiguous vector per row.  ``cap`` starts at
-    ``BASIS_CAPACITY`` (or ``n`` if smaller) and doubles, up to ``n``,
-    whenever a vector does not fit, so memory follows the subspace actually
-    built rather than ``max_s``.  Each appended vector costs one product with
-    ``A``, inside :func:`a_orthonormalize`, and one with ``B``.
-    :attr:`EksmResult.basis` is an ``n x m`` view of the buffer.
+    buffer, whose capacity starts at ``BASIS_CAPACITY`` and doubles (up to
+    ``n``) when full; :attr:`EksmResult.basis` is an ``n x m`` view of it.
+    Each basis vector costs one product with ``A`` (``y``'s is the one its
+    A-norm takes) and one with ``B``.
 
     Raises :class:`ConvergenceError` after ``max_s`` iterations (the last
     iterate and gap travel with the exception) and
@@ -263,12 +250,16 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
     y_anorm = np.sqrt(y_anorm)
     solve_tol = max(tol, TOL_FLOOR)
 
-    # rows of buf[0], buf[1], buf[2]: basis, A basis, B basis
+    # rows of buf[0], buf[1], buf[2]: basis, A basis, B basis.  The first is
+    # y, normalized as a_orthonormalize would, without its product with A
     buf = np.empty((3, min(n, BASIS_CAPACITY), n))
-    m = 0
-    u = y
+    buf[0, 0] = y / y_anorm
+    buf[1, 0] = ay / y_anorm
+    buf[2, 0] = pencil.apply_b(buf[0, 0])
+    m = 1
+    u = None  # y is in already; each step then sets the next M-chain vector
     v = pencil.solve_b(ay, solve_tol)
-    u_idx = v_idx = -1
+    u_idx = 0
     u_alive = v_alive = True
     prev_coef = None
     coef = None
@@ -294,18 +285,12 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
 
     s = 0
     for s in range(1, max_s + 1):
-        if u_alive:
-            idx = append(u)
-            if idx is None:
-                u_alive = False
-            else:
-                u_idx = idx
+        if u_alive and u is not None:
+            u_idx = append(u)
+            u_alive = u_idx is not None
         if v_alive:
-            idx = append(v)
-            if idx is None:
-                v_alive = False
-            else:
-                v_idx = idx
+            v_idx = append(v)
+            v_alive = v_idx is not None
 
         if not u_alive and not v_alive:
             # nothing was appended: the last approximant is final
@@ -340,10 +325,7 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
         raise ConvergenceError(
             f"extended Krylov iteration did not reach tol={tol:g} or its "
             f"floor within {max_s} iterations (last gap {delta:.3e})",
-            iterate=x,
-            residual=delta,
-            iterations=s,
-        )
+            iterate=x, residual=delta, iterations=s)
     return EksmResult(x=x, s=s, delta=delta, stop=stop, basis=buf[0, :m].T,
                       projected=h)
 
@@ -355,7 +337,11 @@ def apply_geometric_mean(pencil, x, tol=DEFAULT_EKSM_TOL):
 
 @dataclass
 class EigenPair:
-    """Computed eigenpair with its achieved (measured, never assumed) residual."""
+    """Computed eigenpair with its achieved (measured, never assumed) residual.
+
+    ``iterations`` counts applications of the inverse: for the pencil, all
+    those of the call; for a single matrix, those of this pair's iteration.
+    """
 
     value: float
     vector: np.ndarray
@@ -365,22 +351,14 @@ class EigenPair:
 
 def _inverse_iteration(inv_apply, deflate, tol, max_iter, seed, resid_tol):
     """Inverse power iteration orthogonal to the Euclidean-orthonormal columns
-    of ``deflate``.
+    of ``deflate``; returns the unit iterate and the number of steps.
 
-    Stops when successive (sign-aligned) iterates differ by at most ``tol``,
-    or, when ``resid_tol`` is positive, as soon as the iterate is an
-    eigenvector of the inverted (deflated) operator up to relative backward
-    error ``resid_tol``; the backward error ``||y - (x.y) x|| / ||y||`` falls
-    out of the step for free.  The relaxed rule is what makes clusters of
-    nearly equal eigenvalues tractable: there the individual eigenvector
-    keeps rotating inside the near-degenerate subspace (tiny step sizes take
-    ~1/spread iterations to settle) while the backward error is already at
-    its floor.  Because that floor sits at the eigenvalue spread, which is
-    sample dependent, a stagnating backward error below ``stall_cap`` (no
-    improvement over ``stall_window`` iterations) is also accepted when the
-    relaxed rule is active.
-
-    Returns ``(x, k)``: the unit iterate and the number of steps taken.
+    Stops when successive (sign-aligned) iterates differ by at most ``tol``
+    or, for positive ``resid_tol``, once the backward error
+    ``||y - (x.y) x|| / ||y||`` of the deflated inverse is at most
+    ``resid_tol``, or has stalled below ``stall_cap`` for ``stall_window``
+    steps: inside a cluster of nearly equal eigenvalues the vector keeps
+    rotating (about 1/spread steps) long after that error reached its floor.
     """
     stall_window = 30
     stall_cap = max(100.0 * resid_tol, 1e-2) if resid_tol > 0.0 else 0.0
@@ -440,14 +418,7 @@ def _step_tol(tol, resid_tol):
     return max(_inner_tol(tol), INNER_RATIO * resid_tol)
 
 
-def _smallest_k(inv_apply, apply, n, k, tol, max_iter, seed, resid_tol):
-    """The ``k`` smallest eigenpairs of the operator ``apply`` by sequential
-    deflated inverse iteration with its inverse ``inv_apply``.
-
-    Each pair gets its own start vector, from one child of ``seed``.  The
-    reported eigenvalue is the Rayleigh quotient ``x' apply(x)`` and the
-    residual ``||apply(x) - value x||`` is measured the same way.
-    """
+def _check_request(n, k, tol, max_iter, resid_tol):
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if not 0.0 < tol < 1.0:
@@ -456,33 +427,68 @@ def _smallest_k(inv_apply, apply, n, k, tol, max_iter, seed, resid_tol):
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not 0.0 <= resid_tol < 1.0:  # NaN fails too
         raise ValueError(f"resid_tol must be in [0, 1), got {resid_tol}")
-    basis = np.empty((n, 0))
-    pairs = []
-    for child in as_seed_sequence(seed).spawn(k):
-        x, iters = _inverse_iteration(inv_apply, basis, tol, max_iter, child,
-                                      resid_tol)
-        ax = apply(x)
-        value = float(x @ ax)
-        residual = float(np.linalg.norm(ax - value * x))
-        basis = np.column_stack([basis, x])
-        pairs.append(EigenPair(value=value, vector=x, residual=residual,
-                               iterations=iters))
-    if np.any(np.diff([p.value for p in pairs]) < -1e-8):
-        warnings.warn(
-            "eigenvalues returned out of order beyond 1e-8; deflation quality "
-            "is suspect",
-            stacklevel=3,
-        )
-    return pairs
+
+
+def _measured_pair(apply, x, iterations):
+    # the value is the Rayleigh quotient x' apply(x), the residual
+    # ||apply(x) - value x|| is measured the same way
+    ax = apply(x)
+    value = float(x @ ax)
+    residual = float(np.linalg.norm(ax - value * x))
+    return EigenPair(value=value, vector=x, residual=residual,
+                     iterations=iterations)
+
+
+def _lanczos_smallest(inv_apply, apply, n, k, tol, max_iter, seed, resid_tol):
+    """The ``k`` smallest eigenpairs of ``apply``, the largest of its inverse
+    ``inv_apply``, by ARPACK ``eigsh`` at the tolerance of every application.
+
+    Start and restart vectors come from ``seed``; ``k = n``, which ARPACK
+    refuses, is solved densely.  Each pair's ``iterations`` is the call's
+    number of applications.  ARPACK failures raise :class:`ConvergenceError`
+    (converged Ritz vectors, if any, as ``iterate``); errors of
+    ``inv_apply`` pass through.
+    """
+    # imported here: scipy.sparse.linalg costs about 10 MB of resident
+    # memory, which the explicit-matrix methods do not need
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    _check_request(n, k, tol, max_iter, resid_tol)
+    step_tol = _step_tol(tol, resid_tol)
+    applications = 0
+
+    def matvec(x):
+        nonlocal applications
+        applications += 1
+        return inv_apply(x, step_tol)
+
+    if k == n:
+        inverse = np.column_stack([matvec(e) for e in np.eye(n)])
+        vectors = np.linalg.eigh(0.5 * (inverse + inverse.T))[1]
+    else:
+        op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+        rng = np.random.default_rng(as_seed_sequence(seed))
+        try:
+            vectors = eigsh(op, k, which="LA", ncv=min(n, 2 * k + 1),
+                            v0=rng.standard_normal(n), maxiter=max_iter,
+                            tol=step_tol, rng=rng)[1]
+        except ArpackError as err:  # ArpackNoConvergence among them
+            raise ConvergenceError(
+                f"Lanczos failed within {max_iter} restarts: {err}",
+                iterate=getattr(err, "eigenvectors", None),
+                iterations=applications) from None
+    # ascending eigenvalues of the inverse: the smallest pair comes last
+    return [_measured_pair(apply, x, applications)
+            for x in np.ascontiguousarray(vectors[:, ::-1].T)]
 
 
 def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL,
                           max_iter=DEFAULT_MAX_OUTER, seed=0, resid_tol=0.0):
-    """The ``k`` smallest eigenpairs of ``A # B`` by sequential deflation.
+    """The ``k`` smallest eigenpairs of ``A # B``, by Lanczos on its inverse.
 
-    One outer step applies ``(A # B)^-1`` as a sparse solve with ``A``
-    followed by the Krylov inverse square root; values and residuals are
-    measured with ``A # B`` applied matrix-free.
+    ``(A # B)^-1`` is a solve with ``A``, then the Krylov inverse square
+    root; ``max_iter`` caps Lanczos restarts and ``resid_tol`` loosens only
+    the inner solves.  Values and residuals come from ``A # B`` matrix-free.
     """
     def inv_apply(x, rtol):
         return eksm_apply_inv_sqrt(pencil, pencil.solve_a(x, rtol), tol=rtol).x
@@ -490,8 +496,8 @@ def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL,
     def apply(x):
         return apply_geometric_mean(pencil, x, tol=_inner_tol(tol))
 
-    return _smallest_k(inv_apply, apply, pencil.n, k, tol, max_iter, seed,
-                       resid_tol)
+    return _lanczos_smallest(inv_apply, apply, pencil.n, k, tol, max_iter,
+                             seed, resid_tol)
 
 
 def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
@@ -499,12 +505,14 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
                                  resid_tol=0.0):
     """The ``k`` smallest eigenpairs of one sparse symmetric matrix.
 
-    Runs the same deflated inverse iteration on ``m + sigma I`` with IC(0)
-    preconditioned inner solves.  ``definite=True`` asserts ``m`` is positive
-    semidefinite and uses ``sigma = MATRIX_SHIFT``; otherwise a Gershgorin
-    bound raises the shift until the iteration matrix is SPD.  Values and
-    residuals refer to ``m`` itself, measured exactly with ``m.matvec``.
+    Sequential deflated inverse iteration on ``m + sigma I`` with IC(0)
+    preconditioned inner solves; each pair starts from one child of
+    ``seed``.  ``definite=True`` asserts ``m`` is positive semidefinite and
+    uses ``sigma = MATRIX_SHIFT``; otherwise a Gershgorin bound raises the
+    shift until the iteration matrix is SPD.  Values and residuals refer to
+    ``m`` itself, measured exactly with ``m.matvec``.
     """
+    _check_request(m.n, k, tol, max_iter, resid_tol)
     sigma = MATRIX_SHIFT
     if not definite:
         gersh = float(np.min(m.diagonal_vector() - m.abs_offdiag_row_sums()))
@@ -515,5 +523,14 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     def inv_apply(x, rtol):
         return pcg_solve(shifted, x, pc, tol=rtol)[0]
 
-    return _smallest_k(inv_apply, m.matvec, m.n, k, tol, max_iter, seed,
-                       resid_tol)
+    basis = np.empty((m.n, 0))
+    pairs = []
+    for child in as_seed_sequence(seed).spawn(k):
+        x, iters = _inverse_iteration(inv_apply, basis, tol, max_iter, child,
+                                      resid_tol)
+        basis = np.column_stack([basis, x])
+        pairs.append(_measured_pair(m.matvec, x, iters))
+    if np.any(np.diff([p.value for p in pairs]) < -1e-8):
+        warnings.warn("eigenvalues returned out of order beyond 1e-8; "
+                      "deflation quality is suspect", stacklevel=2)
+    return pairs

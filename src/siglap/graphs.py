@@ -27,7 +27,8 @@ closed form: ``Lsym+`` vanishes on ``D+^1/2 1_C`` for each connected component
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -157,19 +158,26 @@ class KernelBasis:
     entries: np.ndarray
     count: int
 
+    @cached_property
+    def _bins(self):
+        # computed once per basis: bin 0 collects the vertices in no support
+        return self.ids + 1
+
     @classmethod
     def empty(cls, n):
         return cls(ids=np.full(n, -1), entries=np.zeros(n), count=0)
 
     def coefficients(self, v):
         """``Z' v``."""
-        return np.bincount(self.ids + 1, weights=self.entries * v,
+        return np.bincount(self._bins, weights=self.entries * v,
                            minlength=self.count + 1)[1:]
 
     def combine(self, c):
         """``Z c``."""
-        # id -1 picks the appended 0; its entry is 0 anyway
-        return self.entries * np.append(c, 0.0)[self.ids]
+        # bin 0 picks the leading 0; its entry is 0 anyway
+        padded = np.zeros(self.count + 1)
+        padded[1:] = c
+        return self.entries * padded[self._bins]
 
 
 def _kernel_basis(labels, signs, d):

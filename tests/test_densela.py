@@ -1,15 +1,33 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from siglap import dense_geometric_mean, dense_inv_sqrt, dense_sym_eig
-from siglap.densela import (ORACLE_CAP, geometric_mean_representations,
-                            pencil_inv_sqrt_apply, subspace_angle)
+from siglap.densela import ORACLE_CAP, pencil_inv_sqrt_apply, subspace_angle
 from siglap.errors import IndefiniteOperatorError
 
 
 def random_spd(n, rng, lo=0.5, hi=5.0):
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     return (q * rng.uniform(lo, hi, size=n)) @ q.T
+
+
+def geometric_mean_representations(a, b):
+    """The four product forms ``a (a^-1 b)^(1/2)``, ``(b a^-1)^(1/2) a``,
+    ``b (b^-1 a)^(1/2)`` and ``(a b^-1)^(1/2) b`` of the geometric mean, from
+    Schur-based square roots of the quotients: a path independent of
+    :func:`dense_geometric_mean`."""
+    def rootm(m):
+        r = scipy.linalg.sqrtm(m)
+        assert np.abs(np.imag(r)).max() <= 1e-8 * max(np.abs(np.real(r)).max(), 1.0)
+        return np.real(r)
+
+    return [
+        a @ rootm(np.linalg.solve(a, b)),
+        rootm(b @ np.linalg.inv(a)) @ a,
+        b @ rootm(np.linalg.solve(b, a)),
+        rootm(a @ np.linalg.inv(b)) @ b,
+    ]
 
 
 class TestDenseSymEig:

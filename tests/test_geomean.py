@@ -1,14 +1,20 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import siglap
 from siglap import (ConvergenceError, IndefiniteOperatorError, KernelBasis,
                     PencilOperator, ShiftConfig, SparseSymMatrix,
                     a_orthonormalize, apply_geometric_mean,
                     dense_geometric_mean, dense_sym_eig, eksm_apply_inv_sqrt,
                     geomean, matrix_smallest_k_eigenpairs, shifted_pair,
-                    smallest_eigenpairs, smallest_k_eigenpairs)
+                    smallest_eigenpairs, smallest_k_eigenpairs,
+                    spectral_cluster)
 from siglap.cluster import RESID_TOL
-from siglap.densela import pencil_inv_sqrt_apply, subspace_angle
+from siglap.densela import ORACLE_CAP, pencil_inv_sqrt_apply, subspace_angle
 from siglap.graphs import (SignedGraph, laplacian, pencil_kernels,
                            signed_laplacian, signless_laplacian)
 from siglap.sbm import (SbmParams, conditions, expected_graph, indicator_basis,
@@ -249,8 +255,9 @@ class TestEksm:
         pencil.apply_b = counting("b", pencil.apply_b)
         res = eksm_apply_inv_sqrt(pencil, np.random.default_rng(9).standard_normal(60))
         assert res.stop == "tol"
-        # plus one product with A for the A-norm of y
-        assert counts == {"a": res.basis.shape[1] + 1, "b": res.basis.shape[1]}
+        # the product with A that gives y its A-norm also serves y's basis
+        # vector
+        assert counts == {"a": res.basis.shape[1], "b": res.basis.shape[1]}
 
     def test_nonconvergence_carries_iterate(self):
         pencil = sbm_pencil(40, seed=7, shift=ShiftConfig(1e-6, 1e-6))
@@ -457,6 +464,32 @@ class TestSmallestK:
         with pytest.raises(ValueError, match="resid_tol"):
             solve(pencil, 1, resid_tol=resid_tol)
 
+    def test_every_pair_when_k_is_n(self):
+        # ARPACK needs k < n; k = n applies the inverse to each unit vector
+        pencil = PencilOperator(SparseSymMatrix.diagonal([1.0, 4.0, 9.0]),
+                                SparseSymMatrix.diagonal([9.0, 4.0, 1.0]))
+        pairs = smallest_k_eigenpairs(pencil, 3, tol=1e-10)
+        np.testing.assert_allclose([p.value for p in pairs], [3.0, 3.0, 4.0],
+                                   rtol=1e-9)
+        assert [p.iterations for p in pairs] == [3, 3, 3]
+
+    def test_lanczos_nonconvergence_is_typed(self):
+        # one restart cannot converge four pairs of a block model; ARPACK's
+        # own exception is none of the typed errors callers catch
+        g = sample(SbmParams(4, 20, 0.3, 0.05, 0.05, 0.3), 0)
+        pencil = PencilOperator(*shifted_pair(g, ShiftConfig()),
+                                kernels=pencil_kernels(g))
+        with pytest.raises(ConvergenceError, match="Lanczos") as err:
+            smallest_k_eigenpairs(pencil, 4, max_iter=1)
+        assert err.value.iterate.shape[0] == g.n
+        assert err.value.iterations > 0
+
+    def test_inner_failure_passes_through(self):
+        pencil = PencilOperator(SparseSymMatrix.diagonal([-1.0, 1.0, 2.0, 3.0]),
+                                SparseSymMatrix.identity(4))
+        with pytest.raises(IndefiniteOperatorError, match="curvature"):
+            smallest_k_eigenpairs(pencil, 1)
+
 
 @pytest.fixture
 def tolerances(monkeypatch):
@@ -496,12 +529,14 @@ class TestInexactSteps:
         pairs = smallest_eigenpairs(g, 2, "GM", tol=tol, seed=seed,
                                     resid_tol=resid_tol)
         full, step = geomean._inner_tol(tol), geomean._step_tol(tol, resid_tol)
-        # each pair makes its inverse steps, a solve with A and a Krylov
-        # call, then one application of A # B for its value and residual
+        # Lanczos applies the inverse, a solve with A and a Krylov call,
+        # until every pair has converged; then each pair takes one
+        # application of A # B for its value and residual
+        applications = pairs[0].iterations
+        assert all(p.iterations == applications for p in pairs)
         inverse_step = [("cg", step, set()), ("eksm", step, {step})]
-        expected = []
-        for pair in pairs:
-            expected += inverse_step * pair.iterations + [("eksm", full, {full})]
+        expected = (inverse_step * applications
+                    + [("eksm", full, {full})] * len(pairs))
         assert tolerances == expected
 
     @pytest.mark.parametrize("resid_tol", [0.0, RESID_TOL],
@@ -657,6 +692,9 @@ HARD_CASE_MODES = [pytest.param(case, resid_tol, id=case + suffix)
 class TestGmHardCases:
     @pytest.mark.parametrize("case, resid_tol", HARD_CASE_MODES)
     def test_smallest_pairs_match_dense_oracle(self, case, resid_tol):
+        # Lanczos converges every pair whatever the inner accuracy, so the
+        # relaxed mode, which only loosens the inner solves, meets the
+        # strict bounds too
         g = GM_HARD_CASES[case]()
         shift = ShiftConfig(1e-4, 1e-4)
         pairs = smallest_eigenpairs(g, 2, "GM", shift=shift, tol=1e-8,
@@ -664,8 +702,23 @@ class TestGmHardCases:
         a, b = shifted_pair(g, shift)
         assert_pairs_match_oracle(
             pairs, dense_geometric_mean(a.to_dense(), b.to_dense()),
-            value_rtol=1e-6, value_atol=0.0, angle_tol=1e-5,
-            relaxed=resid_tol > 0.0)
+            value_rtol=1e-6, value_atol=0.0, angle_tol=1e-5, relaxed=False)
+
+
+class TestGmNearDegenerate:
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_block_model_pairs_match_dense_oracle(self, k):
+        # the k - 1 planted eigenvalues after the first lie within 2-4% of
+        # each other, and the relaxed mode must resolve them as well
+        g = sample(SbmParams(k, ORACLE_CAP // k, 0.3, 0.05, 0.05, 0.3), 1)
+        a, b = shifted_pair(g, ShiftConfig())
+        dense = dense_geometric_mean(a.to_dense(), b.to_dense())
+        for resid_tol in (0.0, RESID_TOL):
+            pairs = smallest_eigenpairs(g, k, "GM", tol=1e-8,
+                                        resid_tol=resid_tol)
+            assert_pairs_match_oracle(pairs, dense, value_rtol=1e-6,
+                                      value_atol=0.0, angle_tol=1e-5,
+                                      relaxed=False)
 
 
 class TestExplicitHardCases:
@@ -710,3 +763,34 @@ class TestMatrixEigensolver:
         bn = signed_laplacian(g, "BN")
         pair = matrix_smallest_k_eigenpairs(bn, 1, definite=False, tol=1e-12)[0]
         assert pair.value == pytest.approx(-1.0, abs=1e-8)
+
+
+class TestCostGuards:
+    def test_import_leaves_sparse_linalg_unloaded(self):
+        # scipy.sparse.linalg adds about 10 MB of resident memory; only GM's
+        # kernels and eigensolver import it, inside the calls
+        src = os.path.dirname(os.path.dirname(siglap.__file__))
+        code = ("import sys, siglap; "
+                "print('scipy.sparse.linalg' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_two_cluster_takes_few_inverse_applications(self, monkeypatch):
+        # Lanczos (ncv = 2k + 1) converges both pairs in 2k + 2 applications
+        # of (A # B)^-1
+        calls = []
+        eksm = geomean.eksm_apply_inv_sqrt
+
+        def counting(pencil, y, **kw):
+            calls.append(y)
+            return eksm(pencil, y, **kw)
+
+        monkeypatch.setattr(geomean, "eksm_apply_inv_sqrt", counting)
+        k = 2
+        res = spectral_cluster(two_cluster_benchmark_graph(80, 50, 1)[0], k, "GM")
+        # each pair takes one more Krylov call, for its value and residual
+        applications = len(calls) - k
+        assert applications <= 2 * k + 2
+        assert all(p.iterations == applications for p in res.eigenpairs)

@@ -260,7 +260,7 @@ def build_parser():
 
     p = sub.add_parser("sbm-region",
                        help="condition-region fractions on a probability grid")
-    p.add_argument("--k", type=int, action="append", required=True,
+    p.add_argument("--k", type=_positive_int(2), action="append", required=True,
                    help="cluster count; repeat for several")
     p.add_argument("--steps", type=_positive_int(2), default=100,
                    help="grid points per parameter axis (cell centers)")

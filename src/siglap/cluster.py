@@ -151,6 +151,8 @@ def _neighbor_graph(data, k_neigh, farthest):
     n = data.shape[0]
     if k_neigh < 1 or k_neigh >= n:
         raise ValueError(f"need 1 <= k < n, got k={k_neigh}, n={n}")
+    if not np.isfinite(data).all():
+        raise ValueError("points must have finite coordinates")
     sq = np.sum(data**2, axis=1)
     d2 = np.maximum(sq[:, None] - 2.0 * data @ data.T + sq[None, :], 0.0)
     np.fill_diagonal(d2, -np.inf if farthest else np.inf)

@@ -4,8 +4,8 @@ A :class:`SparseSymMatrix` stores both triangles of a symmetric matrix so
 that matrix-vector products are branch-free row sums.  Construction always
 canonicalizes (sorted column indices, duplicates summed).  Outside input
 (a scipy matrix or a dense array) is verified to be exactly symmetric, both
-structurally and numerically; edge lists and the algebra below build
-symmetric matrices by construction.  Everything downstream may rely on it.
+structurally and numerically; edge lists and graph operators are symmetric by
+construction, so they skip the check.  Everything downstream may rely on it.
 
 Row pointers and column indices are stored as int32 whenever the order and
 the number of stored entries fit (below ``2**31``), whatever index type the
@@ -134,51 +134,10 @@ class SparseSymMatrix:
         _sparsetools.csr_matvec(self.n, self.n, *self._arrays, x, y)
         return y
 
-    def matmat(self, X):
-        """Product against an ``n x m`` block of column vectors."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[0] != self.n:
-            raise ValueError(f"expected {self.n} rows, got {X.shape[0]}")
-        return self._csr @ X
-
-    def __add__(self, other):
-        self._check_same_order(other)
-        return SparseSymMatrix(self._csr + other._csr, _skip_checks=True)
-
-    def __sub__(self, other):
-        self._check_same_order(other)
-        return SparseSymMatrix(self._csr - other._csr, _skip_checks=True)
-
-    def __mul__(self, alpha):
-        return SparseSymMatrix(self._csr * float(alpha), _skip_checks=True)
-
-    __rmul__ = __mul__
-
-    def _check_same_order(self, other):
-        if not isinstance(other, SparseSymMatrix):
-            raise TypeError("expected a SparseSymMatrix")
-        if other.n != self.n:
-            raise ValueError(f"order mismatch: {self.n} vs {other.n}")
-
     def add_diagonal(self, shift):
         """Return ``M + diag(shift)``; ``shift`` may be a scalar or a vector."""
         shift = np.broadcast_to(np.asarray(shift, dtype=np.float64), (self.n,))
-        return self + SparseSymMatrix.diagonal(shift)
-
-    def scale_symmetric(self, d):
-        """Return ``diag(d) @ M @ diag(d)``.
-
-        Each entry is scaled by the single product ``d[i] * d[j]``, so the
-        result stays exactly symmetric (the two-sided sparse product would
-        not, by associativity).
-        """
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != (self.n,):
-            raise ValueError("scaling vector has wrong length")
-        csr = self._csr.copy()
-        row_of_entry = np.repeat(np.arange(self.n), np.diff(csr.indptr))
-        csr.data *= d[row_of_entry] * d[csr.indices]
-        return SparseSymMatrix(csr, _skip_checks=True)
+        return SparseSymMatrix(self._csr + sp.diags_array(shift), _skip_checks=True)
 
     def diagonal_vector(self):
         return self._csr.diagonal()

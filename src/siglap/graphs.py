@@ -15,8 +15,10 @@ kind    operator
 ``AM``  arithmetic mean of normalizations  ``Lsym+ + Qsym-``
 ======  ==============================================================
 
-Degree-zero vertices get a zero row in every normalized operator (their
-``D^-1/2`` entry is defined as 0).
+Each operator, like the :func:`shifted_pair` pair, is assembled in one pass
+over the weights' CSR arrays, with each entry scaled by the one product
+``s_i * s_j`` (so exactly symmetric).  Degree-zero vertices get a zero row in
+every normalized operator (their ``D^-1/2`` entry is defined as 0).
 
 :func:`pencil_kernels` gives the kernels of the two normalized operators in
 closed form: ``Lsym+`` vanishes on ``D+^1/2 1_C`` for each connected component
@@ -50,8 +52,8 @@ class SignedGraph:
         if self.w_plus.n != self.w_minus.n:
             raise ValueError("w_plus and w_minus must have the same order")
         for name, w in (("w_plus", self.w_plus), ("w_minus", self.w_minus)):
-            if w.values.size and w.values.min() < 0.0:
-                raise ValueError(f"{name} has negative weights")
+            if not (np.isfinite(w.values) & (w.values >= 0.0)).all():
+                raise ValueError(f"{name} has negative or non-finite weights")
             if np.any(w.diagonal_vector() != 0.0):
                 raise ValueError(f"{name} has nonzero diagonal entries (self loops)")
 
@@ -99,23 +101,57 @@ def _inv_sqrt_degrees(d):
     return np.where(pos, 1.0 / np.sqrt(np.where(pos, d, 1.0)), 0.0)
 
 
+def _entry_rows(row_ptr):
+    # the row of each stored entry, in the index type of row_ptr
+    return np.repeat(np.arange(row_ptr.size - 1, dtype=row_ptr.dtype), np.diff(row_ptr))
+
+
+def _assemble(diag, terms, scale=None):
+    """``S (diag(diag) + sum_k sign_k S_k W_k S_k) S``, where ``terms`` holds
+    ``(W_k, sign_k, s_k)`` and ``S_k = diag(s_k)``; ``None`` stands for ``I``.
+
+    Entries that cancel are dropped before ``S`` applies, as scipy's sums drop
+    them, so each operator has the bits of the chain of sums it spells out.
+    """
+    n = diag.size
+    # filled in place, int32 whenever W is: these arrays set the peak
+    ends = np.cumsum([n] + [w.nnz for w, _, _ in terms])
+    idx = np.result_type(*(w.col_idx.dtype for w, _, _ in terms))
+    rows, cols = np.empty(ends[-1], idx), np.empty(ends[-1], idx)
+    vals = np.empty(ends[-1])
+    rows[:n] = cols[:n] = np.arange(n)
+    vals[:n] = diag
+    for (w, sign, s), start, end in zip(terms, ends, ends[1:]):
+        rows[start:end], cols[start:end] = _entry_rows(w.row_ptr), w.col_idx
+        np.multiply(w.values, sign, out=vals[start:end])
+        if s is not None:
+            vals[start:end] *= s[rows[start:end]] * s[cols[start:end]]
+    m = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    del rows, cols, vals
+    m.eliminate_zeros()
+    if scale is not None:
+        m.data *= scale[_entry_rows(m.indptr)] * scale[m.indices]
+    return SparseSymMatrix(m, _skip_checks=True)
+
+
 def laplacian(w, normalized=False):
     """Graph Laplacian ``D - W`` or its symmetric normalization."""
     d = w.row_sums()
-    lap = SparseSymMatrix.diagonal(d) - w
-    if not normalized:
-        return lap
-    return lap.scale_symmetric(_inv_sqrt_degrees(d))
+    return _assemble(d, [(w, -1.0, None)], _inv_sqrt_degrees(d) if normalized else None)
 
 
 def signless_laplacian(w, normalized=False):
     """Signless Laplacian ``D + W``; its smallest eigenvalue vanishes exactly
     on bipartite components."""
     d = w.row_sums()
-    q = SparseSymMatrix.diagonal(d) + w
-    if not normalized:
-        return q
-    return q.scale_symmetric(_inv_sqrt_degrees(d))
+    return _assemble(d, [(w, 1.0, None)], _inv_sqrt_degrees(d) if normalized else None)
+
+
+def _normalized_part(w, sign):
+    # diagonal and term of D^-1/2 (D + sign W) D^-1/2, for _assemble
+    d = w.row_sums()
+    s = _inv_sqrt_degrees(d)
+    return d * (s * s), (w, sign, s)
 
 
 def signed_laplacian(g, kind):
@@ -123,25 +159,23 @@ def signed_laplacian(g, kind):
     if kind not in SIGNED_KINDS:
         raise ValueError(f"kind must be one of {SIGNED_KINDS}, got {kind!r}")
     if kind == "AM":
-        return laplacian(g.w_plus, normalized=True) + signless_laplacian(
-            g.w_minus, normalized=True
-        )
+        diag_p, term_p = _normalized_part(g.w_plus, -1.0)
+        diag_m, term_m = _normalized_part(g.w_minus, 1.0)
+        return _assemble(diag_p + diag_m, [term_p, term_m])
     deg = degrees(g)
-    if kind in ("SR", "SN"):
-        ratio = SparseSymMatrix.diagonal(deg.d_bar) - g.w_plus + g.w_minus
-    else:
-        ratio = SparseSymMatrix.diagonal(deg.d_plus) - g.w_plus + g.w_minus
-    if kind in ("SR", "BR"):
-        return ratio
-    return ratio.scale_symmetric(_inv_sqrt_degrees(deg.d_bar))
+    diag = deg.d_bar if kind in ("SR", "SN") else deg.d_plus
+    scale = _inv_sqrt_degrees(deg.d_bar) if kind in ("SN", "BN") else None
+    # W- - W+ is summed before the Dbar^-1/2 scaling, as in the formula
+    return _assemble(diag, [(g.w_plus, -1.0, None), (g.w_minus, 1.0, None)], scale)
 
 
 def shifted_pair(g, shift):
     """The SPD operator pair ``(Lsym+ + eps1 I, Qsym- + eps2 I)``."""
     shift.require_positive()
-    a = laplacian(g.w_plus, normalized=True).add_diagonal(shift.eps1)
-    b = signless_laplacian(g.w_minus, normalized=True).add_diagonal(shift.eps2)
-    return a, b
+    diag_p, term_p = _normalized_part(g.w_plus, -1.0)
+    diag_m, term_m = _normalized_part(g.w_minus, 1.0)
+    return (_assemble(diag_p + shift.eps1, [term_p]),
+            _assemble(diag_m + shift.eps2, [term_m]))
 
 
 @dataclass(frozen=True)
@@ -209,17 +243,21 @@ def pencil_kernels(g):
     from scipy.sparse.csgraph import connected_components
 
     n = g.n
+    plus = g.w_plus.to_scipy()
+    plus.eliminate_zeros()
+    kernel_a = _kernel_basis(connected_components(plus, directed=False)[1], 1.0,
+                             g.w_plus.row_sums())
 
-    def edges(w):
-        adj = w.to_scipy()
-        adj.eliminate_zeros()
-        return adj
-
-    plus = connected_components(edges(g.w_plus), directed=False)[1]
-    kernel_a = _kernel_basis(plus, 1.0, g.w_plus.row_sums())
-
-    minus = edges(g.w_minus)
-    cover = sp.block_array([[None, minus], [minus, None]], format="csr")
+    # W-'s CSR arrays twice over: row u holds W-'s row u shifted to columns
+    # n..2n-1, row u + n holds it unshifted
+    minus = g.w_minus
+    idx = np.int32 if 2 * max(n, minus.nnz) <= np.iinfo(np.int32).max else np.int64
+    ptr = minus.row_ptr.astype(idx, copy=False)
+    cols = minus.col_idx.astype(idx, copy=False)
+    cover = sp.csr_array((np.tile(minus.values, 2), np.concatenate([cols + n, cols]),
+                          np.concatenate([ptr, ptr[1:] + minus.nnz])),
+                         shape=(2 * n, 2 * n))
+    cover.eliminate_zeros()
     lab = connected_components(cover, directed=False)[1]
     lo, hi = lab[:n], lab[n:]
     kernel_b = _kernel_basis(np.where(lo != hi, np.minimum(lo, hi), -1),
@@ -231,10 +269,10 @@ def pencil_kernels(g):
 def load_edge_list(path, n=None):
     """Read a signed graph from a text edge list.
 
-    Each non-comment line is ``i j w`` with 0-based vertex indices; positive
-    weights go to the positive graph, negative ones (by magnitude) to the
-    negative graph.  Duplicate undirected edges are summed; self loops are
-    dropped (a single warning reports how many).
+    Each non-comment line is ``i j w`` with 0-based vertex indices and a
+    finite weight; positive weights go to the positive graph, negative ones
+    (by magnitude) to the negative graph.  Duplicate undirected edges are
+    summed; self loops are dropped (a single warning reports how many).
     """
     pos = ([], [], [])
     neg = ([], [], [])
@@ -255,6 +293,8 @@ def load_edge_list(path, n=None):
                 w = float(parts[2])
             except ValueError as exc:
                 raise EdgeListParseError(str(exc), line_no) from None
+            if not np.isfinite(w):
+                raise EdgeListParseError(f"non-finite weight {parts[2]!r}", line_no)
             if i < 0 or j < 0:
                 raise EdgeListParseError("negative vertex index", line_no)
             if i == j:

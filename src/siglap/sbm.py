@@ -119,6 +119,8 @@ def two_cluster_benchmark_graph(n, avg_degree, seed):
     """
     if n % 2:
         raise ValueError("n must be even")
+    if not math.isfinite(avg_degree):
+        raise ValueError(f"avg_degree must be finite, got {avg_degree}")
     c = n // 2
     params = SbmParams(
         k=2,
@@ -402,6 +404,8 @@ def region_fraction(k, steps, conditioning, target):
     All inequalities are strict; grid points where a ratio condition is
     undefined are excluded from numerator and denominator alike.
     """
+    if k < 2:
+        raise ValueError("the block model needs k >= 2")
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if conditioning not in CONDITIONINGS:

@@ -47,6 +47,12 @@ class TestSbmRegion:
         assert set(config) == {"command", "k", "steps", "conditioning",
                                "target", "out"}
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_fewer_than_two_clusters_is_usage_error(self, k):
+        with pytest.raises(SystemExit) as exc:
+            main(["sbm-region", "--k", k, "--steps", "4"])
+        assert exc.value.code == 2
+
     def test_invalid_steps_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["sbm-region", "--k", "2", "--steps", "1"])
@@ -319,6 +325,29 @@ class TestInputErrors:
     def test_odd_bench_size(self, capsys):
         err = self.run(["bench", "--n", "11", "--repetitions", "1"], capsys)
         assert "n must be even" in err
+
+    @pytest.mark.parametrize("degree", ["nan", "inf"])
+    def test_non_finite_bench_degree(self, capsys, degree):
+        err = self.run(["bench", "--n", "10", "--avg-degree", degree,
+                        "--repetitions", "1"], capsys)
+        assert "avg_degree must be finite" in err
+
+    def test_non_finite_edge_weight(self, tmp_path, capsys):
+        # it used to reach CG and exit 1 with a NaN residual
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1 1.0\n1 2 -1.0\n2 3 nan\n")
+        err = self.run(["cluster", "--edges", str(edges), "--k", "2"], capsys)
+        assert "line 3: non-finite weight" in err
+
+    def test_non_finite_point_coordinate(self, tmp_path, capsys):
+        # it used to be reported as self loops in w_plus
+        pts = np.arange(20.0).reshape(10, 2)
+        pts[4, 0] = np.nan
+        points = tmp_path / "points.txt"
+        np.savetxt(points, pts)
+        err = self.run(["cluster", "--points", str(points), "--k", "2",
+                        "--k-plus", "3", "--k-minus", "3"], capsys)
+        assert "finite coordinates" in err
 
     def test_probability_above_one(self, capsys):
         argv = ["sbm-cluster", *SBM_ARGS, "--runs", "1"]

@@ -131,6 +131,14 @@ class TestNeighborGraphs:
         w = knn_pos_graph(pts, 2)
         assert w.nnz > 0
 
+    @pytest.mark.parametrize("build", [knn_pos_graph, kfn_neg_graph])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coordinates_rejected(self, build, value):
+        pts = np.arange(12.0).reshape(6, 2)
+        pts[3, 1] = value
+        with pytest.raises(ValueError, match="finite coordinates"):
+            build(pts, 2)
+
     def test_farthest_hub_concentration(self):
         # two distant blobs: each blob's farthest neighbors live in the other,
         # and the extreme points soak up most of the edges

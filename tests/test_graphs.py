@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,18 @@ from siglap import (EdgeListParseError, ShiftConfig, SignedGraph,
                     SparseSymMatrix, degrees, dense_sym_eig, laplacian,
                     load_edge_list, shifted_pair, signed_laplacian,
                     signless_laplacian)
-from siglap.sbm import SbmParams, sample
+from siglap.graphs import SIGNED_KINDS
+from siglap.sbm import SbmParams, sample, two_cluster_benchmark_graph
+
+
+def empty(n):
+    return SparseSymMatrix.from_undirected_edges(n, [], [], [])
 
 
 def edge_graph(n, pos_edges, neg_edges):
     def build(edges):
         if not edges:
-            return SparseSymMatrix.from_undirected_edges(n, [], [], [])
+            return empty(n)
         i, j, w = zip(*edges)
         return SparseSymMatrix.from_undirected_edges(n, i, j, w)
 
@@ -43,11 +50,18 @@ class TestSignedGraphValidation:
         with pytest.raises(ValueError, match="diagonal"):
             SignedGraph(w_plus=w, w_minus=ok)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, weight):
+        # NaN fails every ordering test, so a min() < 0 check alone lets it pass
+        bad = SparseSymMatrix.from_undirected_edges(3, [0, 1], [1, 2], [1.0, weight])
+        ok = empty(3)
+        for w_plus, w_minus in ((bad, ok), (ok, bad)):
+            with pytest.raises(ValueError, match="non-finite"):
+                SignedGraph(w_plus=w_plus, w_minus=w_minus)
+
     def test_rejects_order_mismatch(self):
-        w2 = SparseSymMatrix.identity(2) * 0.0
-        w3 = SparseSymMatrix.identity(3) * 0.0
         with pytest.raises(ValueError, match="same order"):
-            SignedGraph(w_plus=w2, w_minus=w3)
+            SignedGraph(w_plus=empty(2), w_minus=empty(3))
 
 
 class TestDegrees:
@@ -138,13 +152,13 @@ class TestSignlessLaplacian:
 class TestSignedLaplacians:
     def test_no_negative_part_reduces_to_laplacian(self):
         g = random_signed(30, seed=1)
-        g = SignedGraph(w_plus=g.w_plus, w_minus=g.w_plus * 0.0)
+        g = SignedGraph(w_plus=g.w_plus, w_minus=empty(g.n))
         sr = signed_laplacian(g, "SR").to_dense()
         np.testing.assert_array_equal(sr, laplacian(g.w_plus).to_dense())
 
     def test_no_positive_part_reduces_to_signless(self):
         g = random_signed(30, seed=2)
-        g = SignedGraph(w_plus=g.w_minus * 0.0, w_minus=g.w_minus)
+        g = SignedGraph(w_plus=empty(g.n), w_minus=g.w_minus)
         sr = signed_laplacian(g, "SR").to_dense()
         np.testing.assert_array_equal(sr, signless_laplacian(g.w_minus).to_dense())
 
@@ -152,7 +166,8 @@ class TestSignedLaplacians:
         # SR equals L+ + Q- entrywise with no floating-point slack
         g = random_signed(50, seed=1)
         sr = signed_laplacian(g, "SR").to_dense()
-        other = (laplacian(g.w_plus) + signless_laplacian(g.w_minus)).to_dense()
+        other = (laplacian(g.w_plus).to_scipy()
+                 + signless_laplacian(g.w_minus).to_scipy()).toarray()
         assert np.array_equal(sr, other)
 
     def test_bn_is_similar_to_balance_normalized(self):
@@ -254,6 +269,12 @@ class TestEdgeList:
         with pytest.raises(EdgeListParseError, match="line 2"):
             load_edge_list(path)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "-nan"])
+    def test_non_finite_weight_reports_line(self, tmp_path, weight):
+        path = self.write(tmp_path, f"0 1 1.0\n1 2 {weight}\n")
+        with pytest.raises(EdgeListParseError, match="line 2: non-finite"):
+            load_edge_list(path)
+
     def test_negative_index_rejected(self, tmp_path):
         with pytest.raises(EdgeListParseError, match="negative"):
             load_edge_list(self.write(tmp_path, "-1 0 1.0\n"))
@@ -263,3 +284,52 @@ class TestEdgeList:
         assert g.n == 5
         with pytest.raises(ValueError, match="exceeds"):
             load_edge_list(self.write(tmp_path, "0 9 1.0\n"), n=5)
+
+
+def operators(g):
+    """Every operator built from ``g``, in a fixed order."""
+    ops = [signed_laplacian(g, kind) for kind in SIGNED_KINDS]
+    for normalized in (False, True):
+        ops += [laplacian(g.w_plus, normalized), signless_laplacian(g.w_minus, normalized)]
+    return ops + list(shifted_pair(g, ShiftConfig()))
+
+
+def operators_digest(g):
+    # indices are hashed as int64 whatever their storage type, as in
+    # test_sbm.graph_digest
+    h = hashlib.sha256()
+    for m in operators(g):
+        for a in (m.row_ptr.astype(np.int64), m.col_idx.astype(np.int64), m.values):
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestOperatorsArePinned:
+    """The exact CSR arrays of every operator on the graphs that
+    ``test_sbm.TestSampledGraphsArePinned`` pins, so that a change to how the
+    operators are assembled cannot silently move a bit."""
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "d22703915f1991d9d11cd72a0e756fa9ceb15eea65971bee2a7d0e207d2a085e"),
+        (1, "bc6485396954da743ff0be2a2577b5ff50a01b6663d235bcbd8223c8e37e76d8"),
+        (2, "dfb55744dfe75bb2bda3dd45e4ada439ebe90f0c1cdc0e1768bcf1ea53826b6b"),
+    ])
+    def test_two_cluster_benchmark_graph(self, seed, digest):
+        g, _ = two_cluster_benchmark_graph(80, 50, seed)
+        assert operators_digest(g) == digest
+
+    def test_four_cluster_sample(self):
+        g = sample(SbmParams(4, 20, 0.3, 0.05, 0.05, 0.3), seed=5)
+        assert operators_digest(g) == (
+            "59a9c7122fab5feebef811ece9586a591ac91d28369613bdbfd4e1d650578e80")
+
+
+class TestExactSymmetry:
+    def test_weighted_graph_with_two_sign_pairs(self):
+        g = random_signed(60, seed=7, density=0.3)
+        both = (g.w_plus.to_dense() > 0.0) & (g.w_minus.to_dense() > 0.0)
+        assert both.sum() > 10
+        for m in operators(g):
+            # outside input: the constructor checks symmetry bit for bit
+            SparseSymMatrix(m.to_scipy())

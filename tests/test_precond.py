@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from siglap import SparseSymMatrix, incomplete_cholesky, jacobi, pcg_solve
 
@@ -65,7 +66,9 @@ class TestIncompleteCholesky:
         keep = i != j
         w = -rng.uniform(0.5, 1.0, size=keep.sum())
         adj = SparseSymMatrix.from_undirected_edges(n, i[keep], j[keep], w)
-        m = SparseSymMatrix.diagonal(-adj.row_sums() + 1.0) + adj  # SPD, Laplacian-like
+        # SPD, Laplacian-like
+        m = SparseSymMatrix(sp.diags_array(-adj.row_sums() + 1.0, format="csr")
+                            + adj.to_scipy())
         pc = incomplete_cholesky(m)
         assert pc.kind == "ic0"
         lower = pc.lower.tocoo()

@@ -76,6 +76,12 @@ class TestSample:
         g = sample(params_of(2, 10, 1.0, 1.0, 1.0, 1.0), seed=3)
         assert np.all(g.w_plus.diagonal_vector() == 0.0)
 
+    @pytest.mark.parametrize("degree", [np.nan, np.inf])
+    def test_benchmark_graph_rejects_non_finite_degree(self, degree):
+        # min(1.0, nan) is 1.0: a NaN degree used to sample complete graphs
+        with pytest.raises(ValueError, match="avg_degree must be finite"):
+            two_cluster_benchmark_graph(10, degree, seed=0)
+
     def test_benchmark_graph_degrees(self):
         g, p = two_cluster_benchmark_graph(400, 30.0, seed=0)
         d = g.w_plus.row_sums() + g.w_minus.row_sums()
@@ -359,6 +365,9 @@ class TestRegionFraction:
     def test_validation(self):
         with pytest.raises(ValueError, match="steps"):
             region_fraction(2, 1, "all", "e_g")
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="k >= 2"):
+                region_fraction(k, 4, "all", "e_g")
         with pytest.raises(ValueError, match="conditioning"):
             region_fraction(2, 4, "nope", "e_g")
         with pytest.raises(ValueError, match="target"):

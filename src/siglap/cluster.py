@@ -237,22 +237,27 @@ def spectral_cluster(g, k, method="GM", shift=None, seed=0, restarts=10,
     )
 
 
-def load_points(path):
-    """Numeric point matrix, one point per row, comma- or whitespace-separated."""
+def _first_data_line(path, what):
+    # the first line that is neither blank nor a comment; a file without one
+    # is refused here, before loadtxt warns and returns an empty array
     with open(path, "r", encoding="utf-8") as fh:
-        sample_line = ""
         for line in fh:
             stripped = line.strip()
             if stripped and not stripped.startswith("#"):
-                sample_line = stripped
-                break
-    delim = "," if "," in sample_line else None
+                return stripped
+    raise ValueError(f"{path} holds no {what}")
+
+
+def load_points(path):
+    """Numeric point matrix, one point per row, comma- or whitespace-separated."""
+    delim = "," if "," in _first_data_line(path, "points") else None
     pts = np.loadtxt(path, delimiter=delim, comments="#", ndmin=2)
     return pts.astype(np.float64)
 
 
 def load_labels(path):
     """Ground-truth labels, one integer per row."""
+    _first_data_line(path, "labels")
     labels = np.loadtxt(path, comments="#", dtype=np.int64, ndmin=1)
     if labels.min() < 0:
         raise ValueError("labels must be nonnegative")

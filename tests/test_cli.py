@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,31 @@ class TestInputErrors:
         err = self.run(["cluster", "--points", str(points), "--k", "2",
                         "--k-plus", "5"], capsys)
         assert "need 1 <= k < n" in err
+
+    @pytest.mark.parametrize("content", ["", "# header only\n\n"],
+                             ids=["empty", "comments"])
+    def test_truth_without_labels(self, tmp_path, capsys, content):
+        # numpy's loadtxt would warn and return an empty array, whose minimum
+        # then failed with a numpy message
+        edges = write_clique(tmp_path / "edges.txt", 4)
+        truth = tmp_path / "truth.txt"
+        truth.write_text(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.run(["cluster", "--edges", edges, "--k", "2",
+                            "--truth", str(truth)], capsys)
+        assert f"{truth} holds no labels" in err
+
+    @pytest.mark.parametrize("content", ["", "# header only\n\n"],
+                             ids=["empty", "comments"])
+    def test_points_file_without_points(self, tmp_path, capsys, content):
+        points = tmp_path / "points.txt"
+        points.write_text(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.run(["cluster", "--points", str(points), "--k", "2"],
+                           capsys)
+        assert f"{points} holds no points" in err
 
     @pytest.mark.parametrize("option, value, message", [
         ("--shift-eps1", "nan", "shifts must be nonnegative"),

@@ -328,6 +328,43 @@ class TestEksm:
         np.testing.assert_allclose(got, gm @ x, atol=1e-7 * np.linalg.norm(gm @ x))
 
 
+@pytest.fixture(scope="module")
+def limit_cases():
+    """``(pencil, y, limit)`` on default-shift two-cluster pencils (s = 0-3),
+    five seeded right-hand sides each, every other one ``A^-1`` of a random
+    vector as the GM eigensolver passes it; ``limit`` is the ``tol = 0`` run."""
+    cases = []
+    for s in range(4):
+        g = two_cluster_benchmark_graph(80, 50, s)[0]
+        pencil = PencilOperator(*shifted_pair(g, ShiftConfig()),
+                                kernels=pencil_kernels(g))
+        rng = np.random.default_rng(40 + s)
+        for r in range(5):
+            y = rng.standard_normal(80)
+            if r % 2:
+                y = pencil.solve_a(y, 1e-10)
+            cases.append((pencil, y, eksm_apply_inv_sqrt(pencil, y, tol=0.0).x))
+    return cases
+
+
+class TestEksmExtrapolatedStop:
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+    def test_error_to_the_limit_is_within_tol(self, limit_cases, tol):
+        for pencil, y, limit in limit_cases:
+            res = eksm_apply_inv_sqrt(pencil, y, tol=tol)
+            assert res.stop == "tol"
+            d = res.x - limit
+            err = np.sqrt(d @ pencil.apply_a(d) / (limit @ pencil.apply_a(limit)))
+            assert err <= tol
+
+    def test_extrapolated_error_stops_before_a_confirming_step(self, limit_cases):
+        # successive differences shrink about 200x per step, so a step with
+        # delta above tol can already be within tol of the limit
+        tol = 1e-6
+        runs = [eksm_apply_inv_sqrt(pencil, y, tol=tol) for pencil, y, _ in limit_cases]
+        assert any(res.delta > tol for res in runs)
+
+
 class TestIpm:
     def test_identity_pencil(self):
         pencil = PencilOperator(SparseSymMatrix.identity(6),

@@ -41,6 +41,7 @@ from .cluster import (METHODS, clustering_error, kfn_neg_graph, knn_pos_graph,
                       load_labels, load_points, smallest_eigenpairs,
                       spectral_cluster)
 from .errors import ConvergenceError, IndefiniteOperatorError
+from .geomean import DEFAULT_IPM_TOL
 from .graphs import ShiftConfig, SignedGraph, load_edge_list
 from .sbm import (CONDITIONINGS, TARGETS, SbmParams, region_fraction,
                   sample, two_cluster_benchmark_graph)
@@ -83,12 +84,13 @@ def _add_out(parser):
 def _add_solver(parser, kmeans):
     """Options of the commands that compute eigenvectors (and, with
     ``kmeans``, cluster them)."""
+    shift = ShiftConfig()
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--tol", type=float, default=1e-8,
+    parser.add_argument("--tol", type=float, default=DEFAULT_IPM_TOL,
                         help="eigensolver tolerance")
-    parser.add_argument("--shift-eps1", type=float, default=1e-6,
+    parser.add_argument("--shift-eps1", type=float, default=shift.eps1,
                         help="diagonal shift on the normalized positive Laplacian (GM)")
-    parser.add_argument("--shift-eps2", type=float, default=1e-6,
+    parser.add_argument("--shift-eps2", type=float, default=shift.eps2,
                         help="diagonal shift on the normalized signless negative "
                              "Laplacian (GM)")
     if kmeans:
@@ -112,14 +114,9 @@ def cmd_sbm_region(args):
     for k in args.k:
         for conditioning in args.conditioning:
             for target in args.target:
-                try:
-                    res = region_fraction(k, args.steps, conditioning, target)
-                    rows.append((k, args.steps, conditioning, target,
-                                 res.fraction, res.denominator))
-                except ValueError as exc:
-                    if "empty" not in str(exc):
-                        raise
-                    rows.append((k, args.steps, conditioning, target, "NA", 0))
+                res = region_fraction(k, args.steps, conditioning, target)
+                rows.append((k, args.steps, conditioning, target,
+                             res.fraction, res.denominator))
     _write_csv(args.out, _config(args),
                ("k", "steps", "conditioning", "target", "fraction",
                 "denominator_count"), rows)

@@ -13,8 +13,8 @@ import scipy.sparse as sp
 from ._util import as_seed_sequence
 from .csr import SparseSymMatrix
 from .errors import ConvergenceError
-from .geomean import (PencilOperator, matrix_smallest_k_eigenpairs,
-                      smallest_k_eigenpairs)
+from .geomean import (DEFAULT_IPM_TOL, PencilOperator,
+                      matrix_smallest_k_eigenpairs, smallest_k_eigenpairs)
 from .graphs import (ShiftConfig, pencil_kernels, shifted_pair,
                      signed_laplacian)
 
@@ -192,8 +192,8 @@ class SpectralClusteringResult:
 RESID_TOL = 1e-4
 
 
-def smallest_eigenpairs(g, k, method, shift=None, tol=1e-8, seed=0,
-                        resid_tol=0.0):
+def smallest_eigenpairs(g, k, method, shift=None, tol=DEFAULT_IPM_TOL,
+                        seed=0, resid_tol=0.0):
     """The ``k`` smallest eigenpairs of the operator ``method`` names for ``g``.
 
     ``GM`` is the geometric mean of the shifted normalized pair (``shift``,
@@ -216,7 +216,7 @@ def smallest_eigenpairs(g, k, method, shift=None, tol=1e-8, seed=0,
 
 
 def spectral_cluster(g, k, method="GM", shift=None, seed=0, restarts=10,
-                     tol=1e-8):
+                     tol=DEFAULT_IPM_TOL):
     """Cluster a signed graph from the k smallest eigenvectors of an operator.
 
     ``method`` selects the operator (see :func:`smallest_eigenpairs`), solved

@@ -17,13 +17,13 @@ ORACLE_CAP = 500
 _SYM_RTOL = 1e-12
 
 
-def check_symmetric(h, rtol=_SYM_RTOL):
+def check_symmetric(h):
     """Return ``h`` as a float array, rejecting asymmetric input."""
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     scale = np.abs(h).max() if h.size else 0.0
-    if scale and np.abs(h - h.T).max() > rtol * scale:
+    if scale and np.abs(h - h.T).max() > _SYM_RTOL * scale:
         raise ValueError("matrix is not symmetric")
     return h
 
@@ -61,6 +61,18 @@ def dense_inv_sqrt(h):
     return 0.5 * (r + r.T)
 
 
+def _congruence(a, b, what):
+    """``(a^(1/2), a^(-1/2), c)`` with ``c = a^(-1/2) b a^(-1/2)``, for a
+    symmetric ``a`` that must be positive definite; ``what`` names the
+    caller in errors."""
+    _check_cap(a)
+    wa, va = _spd_eig(a, f"{what} (first operand)")
+    a_half = (va * np.sqrt(wa)) @ va.T
+    a_inv_half = (va / np.sqrt(wa)) @ va.T
+    c = a_inv_half @ b @ a_inv_half
+    return a_half, a_inv_half, 0.5 * (c + c.T)
+
+
 def dense_geometric_mean(a, b):
     """Geometric mean of two SPD matrices: ``a^(1/2) (a^(-1/2) b a^(-1/2))^(1/2) a^(1/2)``.
 
@@ -71,12 +83,7 @@ def dense_geometric_mean(a, b):
     b = check_symmetric(b)
     if a.shape != b.shape:
         raise ValueError("operands must have equal order")
-    _check_cap(a)
-    wa, va = _spd_eig(a, "geometric mean (first operand)")
-    a_half = (va * np.sqrt(wa)) @ va.T
-    a_inv_half = (va / np.sqrt(wa)) @ va.T
-    c = a_inv_half @ b @ a_inv_half
-    c = 0.5 * (c + c.T)
+    a_half, _, c = _congruence(a, b, "geometric mean")
     wc, vc = _spd_eig(c, "geometric mean (second operand)")
     g = a_half @ ((vc * np.sqrt(wc)) @ vc.T) @ a_half
     return 0.5 * (g + g.T)
@@ -90,13 +97,7 @@ def pencil_inv_sqrt_apply(a, b, y):
     ``a^(-1/2) c^(-1/2) a^(1/2)``.  Serves as the oracle for the iterative
     Krylov solver.
     """
-    a = check_symmetric(a)
-    _check_cap(a)
-    wa, va = _spd_eig(a, "pencil (first operand)")
-    a_half = (va * np.sqrt(wa)) @ va.T
-    a_inv_half = (va / np.sqrt(wa)) @ va.T
-    c = a_inv_half @ b @ a_inv_half
-    c = 0.5 * (c + c.T)
+    a_half, a_inv_half, c = _congruence(check_symmetric(a), b, "pencil")
     return a_inv_half @ (dense_inv_sqrt(c) @ (a_half @ np.asarray(y, dtype=np.float64)))
 
 

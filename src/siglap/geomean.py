@@ -59,7 +59,11 @@ DEFAULT_EKSM_TOL = 1e-10
 # rounding can still deliver
 TOL_FLOOR = 1e-14
 DEFAULT_IPM_TOL = 1e-8
-DEFAULT_MAX_OUTER = 500
+# Lanczos restarts of one eigensolve, or steps of one pair's inverse
+# iteration, before a ConvergenceError
+MAX_OUTER = 500
+# extended Krylov steps of one application before a ConvergenceError
+MAX_EKSM_STEPS = 60
 # a_orthonormalize reports breakdown once a vector keeps less than this
 # fraction of its A-norm after projection
 BREAKDOWN_RTOL = 1e-12
@@ -136,10 +140,11 @@ def _deflated_solve(m, kernel, values, rhs, tol):
     return x
 
 
-def a_orthonormalize(basis, w, apply_a, a_basis=None):
+def a_orthonormalize(basis, w, apply_a, a_basis):
     """Orthonormalize ``w`` against ``basis`` in the ``<u, v> = u' A v`` product.
 
-    ``basis`` must already be A-orthonormal; ``a_basis`` may cache ``A @ basis``.
+    ``basis`` (``n x m``, ``m`` may be 0) must already be A-orthonormal, and
+    ``a_basis`` is ``A @ basis``.
     Uses two Gram-Schmidt passes (full reorthogonalization) and one product
     with ``A``, of the projected vector ``p``.  Returns ``(q, A @ q)`` with
     ``q' A q = 1``, or ``None`` when ``p`` keeps less than a fraction
@@ -149,16 +154,12 @@ def a_orthonormalize(basis, w, apply_a, a_basis=None):
     needs no product of its own.
     """
     w = np.array(w, dtype=np.float64)
-    removed_sq = 0.0
-    if basis is not None and basis.shape[1] > 0:
-        if a_basis is None:
-            a_basis = np.column_stack([apply_a(basis[:, j]) for j in range(basis.shape[1])])
-        c = np.zeros(basis.shape[1])
-        for _ in range(2):
-            proj = a_basis.T @ w
-            w -= basis @ proj
-            c += proj
-        removed_sq = float(c @ c)
+    c = np.zeros(basis.shape[1])
+    for _ in range(2):
+        proj = a_basis.T @ w
+        w -= basis @ proj
+        c += proj
+    removed_sq = float(c @ c)
 
     aw = apply_a(w)
     s = float(w @ aw)
@@ -213,7 +214,7 @@ def _projected_inv_sqrt_e1(h, scale):
     return u @ ((u[0, :] / sigma) * scale)
 
 
-def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
+def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL):
     """Approximate ``(A^-1 B)^-1/2 y`` in an extended Krylov subspace.
 
     Each iteration appends (up to) two A-orthonormal basis vectors, one from
@@ -250,8 +251,8 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
     Each basis vector costs one product with ``A`` (``y``'s is the one its
     A-norm takes) and one with ``B``.
 
-    Raises :class:`ConvergenceError` after ``max_s`` iterations (the last
-    iterate and gap travel with the exception) and
+    Raises :class:`ConvergenceError` after ``MAX_EKSM_STEPS`` iterations
+    (the last iterate and gap travel with the exception) and
     :class:`IndefiniteOperatorError` if the projected matrix loses positive
     definiteness.
     """
@@ -300,7 +301,7 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
         return m - 1
 
     s = 0
-    for s in range(1, max_s + 1):
+    for s in range(1, MAX_EKSM_STEPS + 1):
         if u_alive and u is not None:
             u_idx = append(u)
             u_alive = u_idx is not None
@@ -343,7 +344,7 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL, max_s=60):
     if stop is None:
         raise ConvergenceError(
             f"extended Krylov iteration did not reach tol={tol:g} or its "
-            f"floor within {max_s} iterations (last gap {delta:.3e})",
+            f"floor within {MAX_EKSM_STEPS} iterations (last gap {delta:.3e})",
             iterate=x, residual=delta, iterations=s)
     return EksmResult(x=x, s=s, delta=delta, stop=stop, basis=buf[0, :m].T,
                       projected=h)
@@ -368,7 +369,7 @@ class EigenPair:
     iterations: int
 
 
-def _inverse_iteration(inv_apply, deflate, tol, max_iter, seed, resid_tol):
+def _inverse_iteration(inv_apply, deflate, tol, seed, resid_tol):
     """Inverse power iteration orthogonal to the Euclidean-orthonormal columns
     of ``deflate``; returns the unit iterate and the number of steps.
 
@@ -392,7 +393,7 @@ def _inverse_iteration(inv_apply, deflate, tol, max_iter, seed, resid_tol):
         raise ValueError("start vector lies in the deflation space")
     x /= nx
 
-    for k in range(1, max_iter + 1):
+    for k in range(1, MAX_OUTER + 1):
         y = inv_apply(x, step_tol)
         if deflate.shape[1]:
             y -= deflate @ (deflate.T @ y)
@@ -418,11 +419,11 @@ def _inverse_iteration(inv_apply, deflate, tol, max_iter, seed, resid_tol):
             return x, k
 
     raise ConvergenceError(
-        f"inverse power iteration did not converge in {max_iter} steps "
+        f"inverse power iteration did not converge in {MAX_OUTER} steps "
         f"(last step size {diff:.3e}, backward error {backward:.3e})",
         iterate=x,
         residual=diff,
-        iterations=max_iter,
+        iterations=MAX_OUTER,
     )
 
 
@@ -437,13 +438,11 @@ def _step_tol(tol, resid_tol):
     return max(_inner_tol(tol), INNER_RATIO * resid_tol)
 
 
-def _check_request(n, k, tol, max_iter, resid_tol):
+def _check_request(n, k, tol, resid_tol):
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not 0.0 <= resid_tol < 1.0:  # NaN fails too
         raise ValueError(f"resid_tol must be in [0, 1), got {resid_tol}")
 
@@ -458,7 +457,7 @@ def _measured_pair(apply, x, iterations):
                      iterations=iterations)
 
 
-def _lanczos_smallest(inv_apply, apply, n, k, tol, max_iter, seed, resid_tol):
+def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, resid_tol):
     """The ``k`` smallest eigenpairs of ``apply``, the largest of its inverse
     ``inv_apply``, by ARPACK ``eigsh`` at the tolerance of every application.
 
@@ -472,7 +471,7 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, max_iter, seed, resid_tol):
     # memory, which the explicit-matrix methods do not need
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    _check_request(n, k, tol, max_iter, resid_tol)
+    _check_request(n, k, tol, resid_tol)
     step_tol = _step_tol(tol, resid_tol)
     applications = 0
 
@@ -489,11 +488,11 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, max_iter, seed, resid_tol):
         rng = np.random.default_rng(as_seed_sequence(seed))
         try:
             vectors = eigsh(op, k, which="LA", ncv=min(n, 2 * k + 1),
-                            v0=rng.standard_normal(n), maxiter=max_iter,
+                            v0=rng.standard_normal(n), maxiter=MAX_OUTER,
                             tol=step_tol, rng=rng)[1]
         except ArpackError as err:  # ArpackNoConvergence among them
             raise ConvergenceError(
-                f"Lanczos failed within {max_iter} restarts: {err}",
+                f"Lanczos failed within {MAX_OUTER} restarts: {err}",
                 iterate=getattr(err, "eigenvectors", None),
                 iterations=applications) from None
     # ascending eigenvalues of the inverse: the smallest pair comes last
@@ -501,12 +500,12 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, max_iter, seed, resid_tol):
             for x in np.ascontiguousarray(vectors[:, ::-1].T)]
 
 
-def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL,
-                          max_iter=DEFAULT_MAX_OUTER, seed=0, resid_tol=0.0):
+def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL, seed=0,
+                          resid_tol=0.0):
     """The ``k`` smallest eigenpairs of ``A # B``, by Lanczos on its inverse.
 
     ``(A # B)^-1`` is a solve with ``A``, then the Krylov inverse square
-    root; ``max_iter`` caps Lanczos restarts and ``resid_tol`` loosens only
+    root; ``MAX_OUTER`` caps Lanczos restarts and ``resid_tol`` loosens only
     the inner solves.  Values and residuals come from ``A # B`` matrix-free.
     """
     def inv_apply(x, rtol):
@@ -515,13 +514,12 @@ def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL,
     def apply(x):
         return apply_geometric_mean(pencil, x, tol=_inner_tol(tol))
 
-    return _lanczos_smallest(inv_apply, apply, pencil.n, k, tol, max_iter,
-                             seed, resid_tol)
+    return _lanczos_smallest(inv_apply, apply, pencil.n, k, tol, seed,
+                             resid_tol)
 
 
 def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
-                                 max_iter=DEFAULT_MAX_OUTER, seed=0,
-                                 resid_tol=0.0):
+                                 seed=0, resid_tol=0.0):
     """The ``k`` smallest eigenpairs of one sparse symmetric matrix.
 
     Sequential deflated inverse iteration on ``m + sigma I`` with IC(0)
@@ -531,7 +529,7 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     shift until the iteration matrix is SPD.  Values and residuals refer to
     ``m`` itself, measured exactly with ``m.matvec``.
     """
-    _check_request(m.n, k, tol, max_iter, resid_tol)
+    _check_request(m.n, k, tol, resid_tol)
     sigma = MATRIX_SHIFT
     if not definite:
         gersh = float(np.min(m.diagonal_vector() - m.abs_offdiag_row_sums()))
@@ -545,8 +543,7 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     basis = np.empty((m.n, 0))
     pairs = []
     for child in as_seed_sequence(seed).spawn(k):
-        x, iters = _inverse_iteration(inv_apply, basis, tol, max_iter, child,
-                                      resid_tol)
+        x, iters = _inverse_iteration(inv_apply, basis, tol, child, resid_tol)
         basis = np.column_stack([basis, x])
         pairs.append(_measured_pair(m.matvec, x, iters))
     if np.any(np.diff([p.value for p in pairs]) < -1e-8):

@@ -266,13 +266,15 @@ def pencil_kernels(g):
     return kernel_a, kernel_b
 
 
-def load_edge_list(path, n=None):
+def load_edge_list(path):
     """Read a signed graph from a text edge list.
 
     Each non-comment line is ``i j w`` with 0-based vertex indices and a
     finite weight; positive weights go to the positive graph, negative ones
     (by magnitude) to the negative graph.  Duplicate undirected edges are
-    summed; self loops are dropped (a single warning reports how many).
+    summed; self loops are dropped (a single warning reports how many).  The
+    vertex count is one more than the largest index of an edge that is not a
+    self loop.
     """
     pos = ([], [], [])
     neg = ([], [], [])
@@ -309,12 +311,9 @@ def load_edge_list(path, n=None):
             target[2].append(abs(w))
     if dropped:
         warnings.warn(f"dropped {dropped} self loop(s) from {path}", stacklevel=2)
-    if n is None:
-        n = max_idx + 1
-    elif max_idx >= n:
-        raise ValueError(f"vertex index {max_idx} exceeds declared order {n}")
-    if n <= 0:
-        raise ValueError("edge list is empty and no vertex count was given")
+    n = max_idx + 1
+    if n == 0:
+        raise ValueError("edge list is empty")
     return SignedGraph(
         w_plus=SparseSymMatrix.from_undirected_edges(n, *pos),
         w_minus=SparseSymMatrix.from_undirected_edges(n, *neg),

@@ -4,8 +4,11 @@ import numpy as np
 
 from .errors import ConvergenceError, IndefiniteOperatorError
 
+# pcg_solve gives up after this many iterations per unknown
+MAX_ITER_PER_UNKNOWN = 10
 
-def pcg_solve(m, b, preconditioner=None, tol=1e-10, max_iter=None):
+
+def pcg_solve(m, b, preconditioner=None, tol=1e-10):
     """Solve ``M x = b`` for an SPD matrix ``m`` (anything with ``matvec``).
 
     Starts from ``x = 0`` and iterates until ``||M x - b|| <= tol * ||b||``.
@@ -17,13 +20,11 @@ def pcg_solve(m, b, preconditioner=None, tol=1e-10, max_iter=None):
         On a non-positive curvature direction (the operator or the
         preconditioner is not positive definite).
     ConvergenceError
-        After ``max_iter`` iterations (default ``10 * n``); carries the last
+        After ``MAX_ITER_PER_UNKNOWN * n`` iterations; carries the last
         iterate and the relative residual reached.
     """
     b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
+    max_iter = MAX_ITER_PER_UNKNOWN * b.shape[0]
     if not tol > 0.0:  # NaN fails too
         raise ValueError("tol must be positive")
 

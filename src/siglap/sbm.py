@@ -65,17 +65,17 @@ def _distinct_indices(rng, n_pairs, m):
 
 
 def _decode_triangular(t, c):
-    """Map flat indices of the strict upper triangle of a c x c block to (i, j)."""
-    tf = t.astype(np.float64)
-    i = np.floor((2 * c - 1 - np.sqrt((2 * c - 1) ** 2 - 8 * tf)) / 2).astype(np.int64)
-    # guard against sqrt rounding at block boundaries
-    for _ in range(2):
-        base = i * (2 * c - i - 1) // 2
-        i = np.where(t < base, i - 1, i)
-        base = i * (2 * c - i - 1) // 2
-        i = np.where(t >= base + (c - i - 1), i + 1, i)
-    base = i * (2 * c - i - 1) // 2
-    j = t - base + i + 1
+    """Map flat indices of the strict upper triangle of a c x c block to (i, j).
+
+    Row ``i`` holds the ``c - i - 1`` pairs ``(i, i + 1) .. (i, c - 1)`` and
+    starts at flat index ``i (2c - i - 1) / 2``; those starts are exact
+    integers, so a binary search among them finds each row without the
+    rounding a closed-form square root suffers at large ``c``.
+    """
+    rows = np.arange(c - 1, dtype=np.int64)
+    starts = rows * (2 * c - rows - 1) // 2
+    i = np.searchsorted(starts, t, side="right") - 1
+    j = t - starts[i] + i + 1
     return i, j
 
 
@@ -317,62 +317,56 @@ class ConditionSet:
     degenerate: frozenset
 
 
+def _margins(k, pip, pop, pim, pom):
+    """Right minus left side of each block-model inequality but
+    ``e_g_shifted``, from scalar probabilities or arrays that broadcast;
+    ``e_conf`` and ``e_g`` are ``nan`` unless both expected degree sums
+    (their denominators) are nonzero everywhere.
+    """
+    den_p = pip + (k - 1) * pop
+    den_m = pim + (k - 1) * pom
+    margins = {
+        "e_plus": pip - pop,
+        "e_minus": pom - pim,
+        "e_bal": (pip + pom) - (pim + pop),
+        "e_vol": den_p - den_m,
+        "e_conf": math.nan,
+        "e_g": math.nan,
+    }
+    if np.all(den_p != 0.0) and np.all(den_m != 0.0):
+        g_plus = k * pop / den_p
+        margins["e_conf"] = 1.0 - g_plus * (k * pim / den_m)
+        margins["e_g"] = 1.0 - g_plus * (1.0 + (pim - pom) / den_m)
+    return margins
+
+
 def conditions(params, shift=None):
     """Evaluate the block-model inequalities governing eigenvalue ordering.
 
     ``e_bal and e_vol`` predicts the indicator vectors at the bottom of the
     arithmetic-mean style operators; ``e_g`` does the same for the geometric
-    mean, and ``e_g_shifted`` for the geometric mean of the shifted pair
-    (requiring also ``eps1 + eps2 < 1``).
+    mean, and ``e_g_shifted`` for the geometric mean of the pair shifted by
+    ``shift`` (whose ``eps1 + eps2 < 1`` :class:`~siglap.graphs.ShiftConfig`
+    guarantees); without a shift, ``e_g_shifted`` is degenerate.
     """
-    k = params.k
-    pip, pop = params.p_in_plus, params.p_out_plus
-    pim, pom = params.p_in_minus, params.p_out_minus
-
-    margins = {
-        "e_plus": pip - pop,
-        "e_minus": pom - pim,
-        "e_bal": (pip + pom) - (pim + pop),
-        "e_vol": (pip + (k - 1) * pop) - (pim + (k - 1) * pom),
-    }
+    margins = _margins(params.k, params.p_in_plus, params.p_out_plus,
+                       params.p_in_minus, params.p_out_minus)
     degenerate = set()
-    den_p = pip + (k - 1) * pop
-    den_m = pim + (k - 1) * pom
-    if den_p == 0.0 or den_m == 0.0:
-        degenerate.update(("e_conf", "e_g", "e_g_shifted"))
-        margins["e_conf"] = margins["e_g"] = margins["e_g_shifted"] = float("nan")
+    if math.isnan(margins["e_g"]):
+        degenerate.update(("e_conf", "e_g"))
+    if degenerate or shift is None:
+        degenerate.add("e_g_shifted")
+        margins["e_g_shifted"] = math.nan
     else:
-        g_plus = k * pop / den_p
-        g_minus = 1.0 + (pim - pom) / den_m
-        margins["e_conf"] = 1.0 - g_plus * (k * pim / den_m)
-        margins["e_g"] = 1.0 - g_plus * g_minus
-        if shift is None:
-            degenerate.add("e_g_shifted")
-            margins["e_g_shifted"] = float("nan")
-        else:
-            spec = expected_spectrum(params, shift)["GM_shifted"]
-            # margin kept in product (squared-eigenvalue) units: same sign
-            margins["e_g_shifted"] = float(
-                spec.bulk ** 2 - np.max(spec.chi_values ** 2)
-            )
-
-    def holds(name):
-        if name in degenerate:
-            return None
-        return bool(margins[name] > 0.0)
-
-    e_g_shifted = holds("e_g_shifted")
-    if e_g_shifted is not None and shift is not None:
-        e_g_shifted = e_g_shifted and (shift.eps1 + shift.eps2 < 1.0)
+        spec = expected_spectrum(params, shift)["GM_shifted"]
+        # margin kept in product (squared-eigenvalue) units: same sign
+        margins["e_g_shifted"] = float(
+            spec.bulk ** 2 - np.max(spec.chi_values ** 2)
+        )
 
     return ConditionSet(
-        e_plus=holds("e_plus"),
-        e_minus=holds("e_minus"),
-        e_bal=holds("e_bal"),
-        e_vol=holds("e_vol"),
-        e_conf=holds("e_conf"),
-        e_g=holds("e_g"),
-        e_g_shifted=e_g_shifted,
+        **{name: None if name in degenerate else bool(margin > 0.0)
+           for name, margin in margins.items()},
         margins=margins,
         degenerate=frozenset(degenerate),
     )
@@ -401,8 +395,11 @@ def region_fraction(k, steps, conditioning, target):
     """Fraction of the probability cube where ``target`` holds given
     ``conditioning``, on a ``steps^4`` grid of cell centers.
 
-    All inequalities are strict; grid points where a ratio condition is
-    undefined are excluded from numerator and denominator alike.
+    All inequalities are strict, evaluated as :func:`conditions` does.  The
+    cell centers are positive, so every ratio condition is defined on the
+    grid, and every conditioning event holds at ``(p_in_plus, p_out_plus,
+    p_in_minus, p_out_minus) = (last, first, first, last)``, so the
+    denominator is never 0.
     """
     if k < 2:
         raise ValueError("the block model needs k >= 2")
@@ -414,33 +411,30 @@ def region_fraction(k, steps, conditioning, target):
         raise ValueError(f"target must be one of {TARGETS}")
 
     centers = (np.arange(steps) + 0.5) / steps
-    pop, pim, pom = np.meshgrid(centers, centers, centers, indexing="ij")
+    pop = centers[:, None, None]
+    pim = centers[None, :, None]
+    pom = centers[None, None, :]
     num = 0
     den = 0
     for pip in centers:
-        e_plus = pop < pip
-        e_minus = pim < pom
-        e_bal = pim + pop < pip + pom
-        e_vol = pim + (k - 1) * pom < pip + (k - 1) * pop
-        den_p = pip + (k - 1) * pop
-        den_m = pim + (k - 1) * pom
-        valid = (den_p > 0.0) & (den_m > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e_g = (k * pop / den_p) * (1.0 + (pim - pom) / den_m) < 1.0
-        e_g &= valid
+        margins = _margins(k, pip, pop, pim, pom)
+        e_plus = margins["e_plus"] > 0.0
+        e_minus = margins["e_minus"] > 0.0
+        e_bal = margins["e_bal"] > 0.0
 
         if conditioning == "all":
-            cond = valid
+            cond = np.ones((steps,) * 3, dtype=bool)
         elif conditioning == "e_bal":
-            cond = e_bal & valid
+            cond = e_bal
         elif conditioning == "e_plus_or_e_minus":
-            cond = (e_plus | e_minus) & valid
+            cond = e_plus | e_minus
         else:
-            cond = e_plus & e_minus & valid
+            cond = e_plus & e_minus
 
-        hit = e_g if target == "e_g" else (e_bal & e_vol)
+        if target == "e_g":
+            hit = margins["e_g"] > 0.0
+        else:
+            hit = e_bal & (margins["e_vol"] > 0.0)
         den += int(np.count_nonzero(cond))
         num += int(np.count_nonzero(cond & hit))
-    if den == 0:
-        raise ValueError("conditioning event is empty on this grid")
     return RegionFraction(fraction=num / den, numerator=num, denominator=den)

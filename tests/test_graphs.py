@@ -279,12 +279,6 @@ class TestEdgeList:
         with pytest.raises(EdgeListParseError, match="negative"):
             load_edge_list(self.write(tmp_path, "-1 0 1.0\n"))
 
-    def test_explicit_vertex_count(self, tmp_path):
-        g = load_edge_list(self.write(tmp_path, "0 1 1.0\n"), n=5)
-        assert g.n == 5
-        with pytest.raises(ValueError, match="exceeds"):
-            load_edge_list(self.write(tmp_path, "0 9 1.0\n"), n=5)
-
 
 def operators(g):
     """Every operator built from ``g``, in a fixed order."""

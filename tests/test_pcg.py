@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from siglap import (ConvergenceError, IndefiniteOperatorError, ShiftConfig,
-                    SparseSymMatrix, incomplete_cholesky, laplacian, pcg_solve)
+                    SparseSymMatrix, incomplete_cholesky, laplacian, pcg, pcg_solve)
 from siglap.sbm import SbmParams, sample
 
 
@@ -27,12 +27,16 @@ class TestPcgBasics:
         with pytest.raises(IndefiniteOperatorError, match="curvature"):
             pcg_solve(m, np.array([0.0, 1.0]))
 
-    def test_nonconvergence_reports_residual(self):
+    def test_nonconvergence_reports_residual(self, monkeypatch):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((30, 30))
         spd = SparseSymMatrix.from_dense(a @ a.T + 0.05 * np.eye(30))
+        # n steps would solve the system in exact arithmetic; in floating
+        # point this one still has a relative residual of 4e-2 after them
+        monkeypatch.setattr(pcg, "MAX_ITER_PER_UNKNOWN", 1)
         with pytest.raises(ConvergenceError) as err:
-            pcg_solve(spd, rng.standard_normal(30), tol=1e-14, max_iter=2)
+            pcg_solve(spd, rng.standard_normal(30), tol=1e-14)
+        assert err.value.iterations == 30
         assert err.value.residual > 0
         assert err.value.iterate.shape == (30,)
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from siglap import (ShiftConfig, conditions, corollary_bound,
                     expected_spectrum, indicator_basis, region_fraction,
                     sample, two_cluster_benchmark_graph)
 from siglap.densela import subspace_angle
-from siglap.sbm import SbmParams, _distinct_indices, expected_operator_dense
+from siglap.sbm import (CONDITIONINGS, TARGETS, SbmParams, _decode_triangular,
+                        _distinct_indices, expected_operator_dense)
 
 
 def params_of(k, c, pip, pop, pim, pom):
@@ -129,6 +131,27 @@ class TestDistinctIndices:
         assert t.shape == (1000,)
         assert np.unique(t).size == 1000
         assert t.min() >= 0 and t.max() < 2_500_000_000
+
+
+class TestDecodeTriangular:
+    @pytest.mark.parametrize("c", [1, 2, 3, 40, 41, 999, 2000])
+    def test_matches_triu_indices(self, c):
+        i, j = _decode_triangular(np.arange(c * (c - 1) // 2), c)
+        expect_i, expect_j = np.triu_indices(c, 1)
+        np.testing.assert_array_equal(i, expect_i)
+        np.testing.assert_array_equal(j, expect_j)
+
+    def test_exact_at_row_starts_of_a_large_block(self):
+        # a row's first pair (i, i + 1) and the pair before it (i - 1, c - 1)
+        # are where a closed-form square root rounds across rows
+        c = 200_001
+        rows = np.random.default_rng(3).choice(np.arange(1, c - 1), 5000, replace=False)
+        rows = np.concatenate([[1, 2, c - 3, c - 2], rows])
+        starts = np.array([r * (2 * c - r - 1) // 2 for r in rows.tolist()])
+        i, j = _decode_triangular(np.concatenate([starts, starts - 1]), c)
+        np.testing.assert_array_equal(i, np.concatenate([rows, rows - 1]))
+        np.testing.assert_array_equal(
+            j, np.concatenate([rows + 1, np.full(rows.size, c - 1)]))
 
 
 class TestExpectedGraph:
@@ -339,21 +362,29 @@ class TestRegionFraction:
             res = region_fraction(k, 10, "e_plus_and_e_minus", "e_g")
             assert res.fraction == 1.0
 
-    def test_exhaustive_two_step_grid(self):
-        # steps=2 gives 16 grid points; count by direct enumeration
-        k = 3
-        centers = [0.25, 0.75]
+    @pytest.mark.parametrize("steps", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("conditioning", CONDITIONINGS)
+    def test_exhaustive_two_step_grid(self, conditioning, target, k, steps):
+        # steps^4 grid points (16 or 81); count by direct enumeration
+        events = {
+            "all": lambda c: True,
+            "e_bal": lambda c: c.e_bal,
+            "e_plus_or_e_minus": lambda c: c.e_plus or c.e_minus,
+            "e_plus_and_e_minus": lambda c: c.e_plus and c.e_minus,
+            "e_g": lambda c: c.e_g,
+            "e_bal_and_e_vol": lambda c: c.e_bal and c.e_vol,
+        }
+        centers = (np.arange(steps) + 0.5) / steps
         num = den = 0
-        for pip in centers:
-            for pop in centers:
-                for pim in centers:
-                    for pom in centers:
-                        c = conditions(params_of(k, 5, pip, pop, pim, pom))
-                        if not (c.e_plus and c.e_minus):
-                            continue
-                        den += 1
-                        num += bool(c.e_bal and c.e_vol)
-        res = region_fraction(k, 2, "e_plus_and_e_minus", "e_bal_and_e_vol")
+        for pip, pop, pim, pom in itertools.product(centers, repeat=4):
+            c = conditions(params_of(k, 5, pip, pop, pim, pom))
+            if not events[conditioning](c):
+                continue
+            den += 1
+            num += bool(events[target](c))
+        res = region_fraction(k, steps, conditioning, target)
         assert res.denominator == den
         assert res.numerator == num
 

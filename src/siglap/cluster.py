@@ -1,8 +1,9 @@
 """Spectral clustering pipelines: embeddings, k-means, the majority-vote
 error, and the neighborhood graph constructions for point-cloud input.
 
-The positive graph connects mutual nearest neighbors, the negative graph
-mutual *farthest* neighbors; both are unweighted and symmetrized by union.
+The positive graph joins each point to its nearest neighbors, the negative
+graph to its *farthest*; both are unweighted and symmetrized by union, so
+an edge needs only one endpoint to pick the other.
 """
 
 from dataclasses import dataclass
@@ -70,35 +71,59 @@ def _plus_plus_seed(points, k, rng):
 
 
 def _lloyd(points, centers):
-    prev = np.inf
-    labels = None
+    """Lloyd's iteration on the ``r x k x d`` center sets ``centers`` at once.
+
+    Each set stops at its own step, by the rule a run of its own would
+    apply, and arrives at the same bits: one matrix product per set, and
+    each center the in-order sum of its points divided by their number, as
+    ``points[mask].mean(axis=0)`` computes it.  ``centers`` is updated in
+    place; returns the ``r x n`` labels and the ``r`` objectives.
+    """
+    r, k, d = centers.shape
+    sq = np.sum(points**2, axis=1)[:, None]
+    labels = np.empty((r, points.shape[0]), dtype=np.intp)
+    inertia = np.empty(r)
+    prev = np.full(r, np.inf)
+    run = np.arange(r)  # the sets still iterating
     for _ in range(KMEANS_MAX_ITER):
-        d2 = (
-            np.sum(points**2, axis=1)[:, None]
-            - 2.0 * points @ centers.T
-            + np.sum(centers**2, axis=1)[None, :]
-        )
-        labels = np.argmin(d2, axis=1)  # ties go to the lowest centroid index
-        inertia = float(np.sum(np.take_along_axis(d2, labels[:, None], axis=1)))
-        inertia = max(inertia, 0.0)
-        if inertia > prev + 1e-9 * max(1.0, abs(prev)):
+        c = centers[run]
+        d2 = (sq - 2.0 * points @ c.transpose(0, 2, 1)
+              + np.sum(c**2, axis=2)[:, None, :])
+        lab = np.argmin(d2, axis=2)  # ties go to the lowest centroid index
+        obj = np.sum(np.take_along_axis(d2, lab[:, :, None], axis=2)[:, :, 0],
+                     axis=1)
+        obj = np.maximum(obj, 0.0)
+        p = prev[run]
+        if np.any(obj > p + 1e-9 * np.maximum(1.0, np.abs(p))):
             raise ConvergenceError("k-means objective increased")
-        for c in range(centers.shape[0]):
-            mask = labels == c
-            if np.any(mask):
-                centers[c] = points[mask].mean(axis=0)
-        if prev - inertia <= KMEANS_RTOL * max(prev, 1e-300) or inertia == 0.0:
-            prev = inertia
+        # set j's cluster c is bin j * k + c; bincount adds each bin's points
+        # in index order
+        bins = (np.arange(run.size)[:, None] * k + lab).ravel()
+        counts = np.bincount(bins, minlength=run.size * k)
+        sums = np.empty((run.size * k, d))
+        for j in range(d):
+            sums[:, j] = np.bincount(bins, weights=np.tile(points[:, j], run.size),
+                                     minlength=run.size * k)
+        c = c.reshape(run.size * k, d)
+        filled = counts > 0
+        c[filled] = sums[filled] / counts[filled, None]
+        centers[run] = c.reshape(run.size, k, d)
+        labels[run] = lab
+        inertia[run] = prev[run] = obj
+        done = (p - obj <= KMEANS_RTOL * np.maximum(p, 1e-300)) | (obj == 0.0)
+        run = run[~done]
+        if run.size == 0:
             break
-        prev = inertia
-    return labels, centers, prev
+    return labels, inertia
 
 
 def kmeans(points, k, restarts=10, seed=0):
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` runs.
 
-    Deterministic given the seed.  If fewer than ``k`` distinct points exist,
-    some clusters come back empty and are flagged on the result.
+    Each run is seeded from its own child of ``seed``, and all runs iterate
+    together; the first run with the lowest objective wins.  Deterministic
+    given the seed.  If fewer than ``k`` distinct points exist, some
+    clusters come back empty and are flagged on the result.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.ndim != 2:
@@ -108,20 +133,18 @@ def kmeans(points, k, restarts=10, seed=0):
         raise ValueError(f"need at least k={k} points, got {n}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    best = None
-    for child in as_seed_sequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        centers = _plus_plus_seed(points, k, rng)
-        labels, centers, inertia = _lloyd(points, centers.copy())
-        if best is None or inertia < best[2]:
-            best = (labels, centers, inertia)
-    labels, centers, inertia = best
+    centers = np.stack([_plus_plus_seed(points, k, np.random.default_rng(child))
+                        for child in as_seed_sequence(seed).spawn(restarts)])
+    labels, inertia = _lloyd(points, centers)
+    best = int(np.argmin(inertia))
+    # copies, so the result does not hold every restart's arrays
+    labels = labels[best].copy()
     present = np.bincount(labels, minlength=k) > 0
     empties = tuple(int(c) for c in np.flatnonzero(~present))
     return KmeansResult(
         labels=ClusterLabels(labels=labels, k=k, empty_clusters=empties),
-        centers=centers,
-        inertia=inertia,
+        centers=centers[best].copy(),
+        inertia=float(inertia[best]),
     )
 
 
@@ -185,10 +208,12 @@ class SpectralClusteringResult:
     method: str
 
 
-# spectral_cluster's backward-error test.  GM's Lanczos only runs its
-# inverse at 1% of it.  The explicit methods accept a vector at it even while
-# it still rotates inside a cluster of nearly equal eigenvalues, a wander
-# k-means does not see, which would take thousands of iterations to settle.
+# spectral_cluster's backward-error test.  GM runs every solve at 1% of it:
+# Lanczos' applications of the inverse and the measurement of each pair's
+# value and residual through A # B.  The explicit methods accept a vector at
+# it even while it still rotates inside a cluster of nearly equal
+# eigenvalues, a wander k-means does not see, which would take thousands of
+# iterations to settle.
 RESID_TOL = 1e-4
 
 

@@ -20,14 +20,17 @@ Every solve takes its tolerance as an argument, and this one policy sets it:
 
 * full accuracy for an outer tolerance ``tol`` is ``_inner_tol(tol)``, 1% of
   ``tol`` clipped to ``[TOL_FLOOR, DEFAULT_EKSM_TOL]``;
-* every ``inv_apply(x, rtol)`` of one eigensolve, and Lanczos' tolerance,
-  get ``_step_tol(tol, resid_tol)``: full accuracy on strict calls, else
-  ``INNER_RATIO * resid_tol``, never tighter (Golub & Ye, BIT 40(4), 2000;
-  Berns-Müller, Graham & Spence, LAA 416, 2006).  On the pencil ``rtol``
-  holds for the solve with ``A``, the Krylov inverse square root and its
-  inner solves; on a single matrix it is the CG tolerance;
-* values and residuals are always measured at full accuracy: through
-  ``A # B`` applied at ``_inner_tol(tol)``, or exactly for a single matrix.
+* every solve of one eigensolve runs at ``_step_tol(tol, resid_tol)``:
+  full accuracy on strict calls, else ``INNER_RATIO * resid_tol``, never
+  tighter (Golub & Ye, BIT 40(4), 2000; Berns-Müller, Graham & Spence,
+  LAA 416, 2006).  On the pencil that is every ``inv_apply(x, rtol)``,
+  Lanczos' own tolerance, and the application of ``A # B`` that measures
+  each pair's value and residual; ``rtol`` holds for the solve with ``A``,
+  the Krylov inverse square root and its inner solves.  A Rayleigh
+  quotient's error is quadratic in its vector's, so measuring at the
+  accuracy the vectors were found with costs the values nothing.  On a
+  single matrix ``rtol`` is the CG tolerance, and values and residuals are
+  measured exactly, with products.
 
 Every inner system of the pencil is solved exactly on known eigenvectors,
 for a signed graph the kernels of ``Lsym+`` and ``Qsym-`` whose shifts
@@ -73,8 +76,8 @@ BASIS_CAPACITY = 16
 # diagonal shift that makes a positive semidefinite matrix definite for the
 # inner solves of matrix_smallest_k_eigenpairs
 MATRIX_SHIFT = 1e-6
-# under a relaxed backward-error test resid_tol, the inverse is applied at
-# INNER_RATIO * resid_tol
+# under a relaxed backward-error test resid_tol, every solve of the
+# eigensolve runs at INNER_RATIO * resid_tol
 INNER_RATIO = 1e-2
 # eksm_apply_inv_sqrt stops once MARGIN times the extrapolated error of its
 # approximant meets the tolerance; the margin covers the contraction ratio
@@ -359,6 +362,9 @@ def apply_geometric_mean(pencil, x, tol=DEFAULT_EKSM_TOL):
 class EigenPair:
     """Computed eigenpair with its achieved (measured, never assumed) residual.
 
+    For the pencil, ``value`` and ``residual`` are measured through
+    ``A # B`` applied at the call's step tolerance (``_step_tol``), the
+    accuracy of its inverse applications; for a single matrix, exactly.
     ``iterations`` counts applications of the inverse: for the pencil, all
     those of the call; for a single matrix, those of this pair's iteration.
     """
@@ -447,10 +453,9 @@ def _check_request(n, k, tol, resid_tol):
         raise ValueError(f"resid_tol must be in [0, 1), got {resid_tol}")
 
 
-def _measured_pair(apply, x, iterations):
-    # the value is the Rayleigh quotient x' apply(x), the residual
-    # ||apply(x) - value x|| is measured the same way
-    ax = apply(x)
+def _measured_pair(x, ax, iterations):
+    # the value is the Rayleigh quotient x' ax, the residual
+    # ||ax - value x|| is measured from the same product
     value = float(x @ ax)
     residual = float(np.linalg.norm(ax - value * x))
     return EigenPair(value=value, vector=x, residual=residual,
@@ -459,7 +464,7 @@ def _measured_pair(apply, x, iterations):
 
 def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, resid_tol):
     """The ``k`` smallest eigenpairs of ``apply``, the largest of its inverse
-    ``inv_apply``, by ARPACK ``eigsh`` at the tolerance of every application.
+    ``inv_apply``, by ARPACK ``eigsh``; both take the call's step tolerance.
 
     Start and restart vectors come from ``seed``; ``k = n``, which ARPACK
     refuses, is solved densely.  Each pair's ``iterations`` is the call's
@@ -467,8 +472,9 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, resid_tol):
     (converged Ritz vectors, if any, as ``iterate``); errors of
     ``inv_apply`` pass through.
     """
-    # imported here: scipy.sparse.linalg costs about 10 MB of resident
-    # memory, which the explicit-matrix methods do not need
+    # imported here, as the explicit-matrix methods never need it; on the
+    # GM path graphs.pencil_kernels' csgraph import has already loaded
+    # scipy.sparse.linalg (9.0 MB of its 10.2 MB), so this adds nothing
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     _check_request(n, k, tol, resid_tol)
@@ -496,7 +502,7 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, resid_tol):
                 iterate=getattr(err, "eigenvectors", None),
                 iterations=applications) from None
     # ascending eigenvalues of the inverse: the smallest pair comes last
-    return [_measured_pair(apply, x, applications)
+    return [_measured_pair(x, apply(x, step_tol), applications)
             for x in np.ascontiguousarray(vectors[:, ::-1].T)]
 
 
@@ -505,14 +511,15 @@ def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL, seed=0,
     """The ``k`` smallest eigenpairs of ``A # B``, by Lanczos on its inverse.
 
     ``(A # B)^-1`` is a solve with ``A``, then the Krylov inverse square
-    root; ``MAX_OUTER`` caps Lanczos restarts and ``resid_tol`` loosens only
-    the inner solves.  Values and residuals come from ``A # B`` matrix-free.
+    root; ``MAX_OUTER`` caps Lanczos restarts and ``resid_tol`` loosens
+    every inner solve.  Values and residuals come from ``A # B``
+    matrix-free, applied at the same tolerance as the inverse.
     """
     def inv_apply(x, rtol):
         return eksm_apply_inv_sqrt(pencil, pencil.solve_a(x, rtol), tol=rtol).x
 
-    def apply(x):
-        return apply_geometric_mean(pencil, x, tol=_inner_tol(tol))
+    def apply(x, rtol):
+        return apply_geometric_mean(pencil, x, tol=rtol)
 
     return _lanczos_smallest(inv_apply, apply, pencil.n, k, tol, seed,
                              resid_tol)
@@ -545,7 +552,7 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     for child in as_seed_sequence(seed).spawn(k):
         x, iters = _inverse_iteration(inv_apply, basis, tol, child, resid_tol)
         basis = np.column_stack([basis, x])
-        pairs.append(_measured_pair(m.matvec, x, iters))
+        pairs.append(_measured_pair(x, m.matvec(x), iters))
     if np.any(np.diff([p.value for p in pairs]) < -1e-8):
         warnings.warn("eigenvalues returned out of order beyond 1e-8; "
                       "deflation quality is suspect", stacklevel=2)

@@ -238,8 +238,10 @@ def pencil_kernels(g):
     land in different components, and which of the two holds ``u`` gives its
     side.
     """
-    # imported here: csgraph loads all of scipy.sparse.linalg (about 2 MB of
-    # resident memory), which the explicit-matrix methods never need
+    # imported here, as the explicit-matrix methods never need it: after
+    # `import siglap`, csgraph adds 10.2 MB of resident memory, 9.0 MB of it
+    # for the scipy.sparse.linalg it loads, so geomean's later import of
+    # eigsh adds nothing on the GM path
     from scipy.sparse.csgraph import connected_components
 
     n = g.n

@@ -319,24 +319,26 @@ class ConditionSet:
 
 def _margins(k, pip, pop, pim, pom):
     """Right minus left side of each block-model inequality but
-    ``e_g_shifted``, from scalar probabilities or arrays that broadcast;
-    ``e_conf`` and ``e_g`` are ``nan`` unless both expected degree sums
-    (their denominators) are nonzero everywhere.
+    ``e_g_shifted``, from scalar probabilities or arrays that broadcast.
+
+    Each margin is a function of no argument, so a caller computes only the
+    margins it reads; ``e_conf`` and ``e_g`` give ``nan`` unless both
+    expected degree sums (their denominators) are nonzero everywhere.
     """
     den_p = pip + (k - 1) * pop
     den_m = pim + (k - 1) * pom
     margins = {
-        "e_plus": pip - pop,
-        "e_minus": pom - pim,
-        "e_bal": (pip + pom) - (pim + pop),
-        "e_vol": den_p - den_m,
-        "e_conf": math.nan,
-        "e_g": math.nan,
+        "e_plus": lambda: pip - pop,
+        "e_minus": lambda: pom - pim,
+        "e_bal": lambda: (pip + pom) - (pim + pop),
+        "e_vol": lambda: den_p - den_m,
+        "e_conf": lambda: math.nan,
+        "e_g": lambda: math.nan,
     }
     if np.all(den_p != 0.0) and np.all(den_m != 0.0):
         g_plus = k * pop / den_p
-        margins["e_conf"] = 1.0 - g_plus * (k * pim / den_m)
-        margins["e_g"] = 1.0 - g_plus * (1.0 + (pim - pom) / den_m)
+        margins["e_conf"] = lambda: 1.0 - g_plus * (k * pim / den_m)
+        margins["e_g"] = lambda: 1.0 - g_plus * (1.0 + (pim - pom) / den_m)
     return margins
 
 
@@ -349,8 +351,9 @@ def conditions(params, shift=None):
     ``shift`` (whose ``eps1 + eps2 < 1`` :class:`~siglap.graphs.ShiftConfig`
     guarantees); without a shift, ``e_g_shifted`` is degenerate.
     """
-    margins = _margins(params.k, params.p_in_plus, params.p_out_plus,
-                       params.p_in_minus, params.p_out_minus)
+    margins = {name: margin() for name, margin in _margins(
+        params.k, params.p_in_plus, params.p_out_plus, params.p_in_minus,
+        params.p_out_minus).items()}
     degenerate = set()
     if math.isnan(margins["e_g"]):
         degenerate.update(("e_conf", "e_g"))
@@ -417,24 +420,21 @@ def region_fraction(k, steps, conditioning, target):
     num = 0
     den = 0
     for pip in centers:
+        # only the margins that the conditioning and the target read
         margins = _margins(k, pip, pop, pim, pom)
-        e_plus = margins["e_plus"] > 0.0
-        e_minus = margins["e_minus"] > 0.0
-        e_bal = margins["e_bal"] > 0.0
-
         if conditioning == "all":
             cond = np.ones((steps,) * 3, dtype=bool)
         elif conditioning == "e_bal":
-            cond = e_bal
+            cond = margins["e_bal"]() > 0.0
         elif conditioning == "e_plus_or_e_minus":
-            cond = e_plus | e_minus
+            cond = (margins["e_plus"]() > 0.0) | (margins["e_minus"]() > 0.0)
         else:
-            cond = e_plus & e_minus
+            cond = (margins["e_plus"]() > 0.0) & (margins["e_minus"]() > 0.0)
 
         if target == "e_g":
-            hit = margins["e_g"] > 0.0
+            hit = margins["e_g"]() > 0.0
         else:
-            hit = e_bal & (margins["e_vol"] > 0.0)
+            hit = (margins["e_bal"]() > 0.0) & (margins["e_vol"]() > 0.0)
         den += int(np.count_nonzero(cond))
         num += int(np.count_nonzero(cond & hit))
     return RegionFraction(fraction=num / den, numerator=num, denominator=den)

@@ -1,11 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from siglap import (ClusterLabels, PencilOperator, ShiftConfig, SignedGraph,
-                    SparseSymMatrix, clustering_error, dense_sym_eig,
-                    eksm_apply_inv_sqrt, geomean, kfn_neg_graph, kmeans,
-                    knn_pos_graph, pencil_kernels, shifted_pair,
-                    signed_laplacian, smallest_eigenpairs, spectral_cluster)
+                    SparseSymMatrix, cluster, clustering_error,
+                    dense_geometric_mean, dense_sym_eig, eksm_apply_inv_sqrt,
+                    geomean, kfn_neg_graph, kmeans, knn_pos_graph,
+                    pencil_kernels, shifted_pair, signed_laplacian,
+                    smallest_eigenpairs, spectral_cluster)
 from siglap.cluster import METHODS, RESID_TOL, load_labels, load_points
 from siglap.sbm import (SbmParams, indicator_basis, sample,
                         two_cluster_benchmark_graph)
@@ -16,7 +19,99 @@ def labels_of(seq, k=None):
     return ClusterLabels(labels=seq, k=k or int(seq.max()) + 1)
 
 
+def sequential_kmeans(points, k, restarts, seed):
+    """Reference: the restarts one after another, each center a masked mean.
+
+    Returns ``(labels, centers, inertia)`` of the first best restart.
+    """
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        centers = cluster._plus_plus_seed(points, k, np.random.default_rng(child))
+        prev = np.inf
+        for _ in range(cluster.KMEANS_MAX_ITER):
+            d2 = (np.sum(points**2, axis=1)[:, None]
+                  - 2.0 * points @ centers.T
+                  + np.sum(centers**2, axis=1)[None, :])
+            labels = np.argmin(d2, axis=1)
+            inertia = float(np.sum(np.take_along_axis(d2, labels[:, None], axis=1)))
+            inertia = max(inertia, 0.0)
+            if inertia > prev + 1e-9 * max(1.0, abs(prev)):
+                raise AssertionError("objective increased")
+            for c in range(k):
+                mask = labels == c
+                if np.any(mask):
+                    centers[c] = points[mask].mean(axis=0)
+            stop = (prev - inertia <= cluster.KMEANS_RTOL * max(prev, 1e-300)
+                    or inertia == 0.0)
+            prev = inertia
+            if stop:
+                break
+        if best is None or prev < best[2]:
+            best = (labels, centers, prev)
+    return best
+
+
+def kmeans_cases():
+    """Seeded ``(name, points, k, restarts, seed)``; the ``dup`` sets hold
+    fewer than ``k`` distinct points, so clusters come back empty."""
+    rng = np.random.default_rng(20261019)
+    out = []
+    for k in (2, 3, 4):
+        blobs = np.concatenate([rng.normal(c, 0.4, size=(15, k)) for c in range(k)])
+        out.append((f"blobs-k{k}", blobs, k, 10, k))
+        dup = np.repeat(rng.standard_normal((k - 1, 2)), 4, axis=0)
+        out.append((f"dup-k{k}", dup, k, 5, 100 + k))
+        mixed = np.concatenate([np.repeat(rng.standard_normal((2, 3)), 6, axis=0),
+                                rng.standard_normal((5, 3))])
+        out.append((f"mixed-k{k}", mixed, k, 7, 200 + k))
+    return out
+
+
+def kmeans_digest(labels, centers, inertia):
+    h = hashlib.sha256()
+    h.update(np.asarray(labels, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(centers).tobytes())
+    h.update(np.float64(inertia).tobytes())
+    return h.hexdigest()[:16]
+
+
+# kmeans_digest of each kmeans_cases() result, from the restarts run one
+# after another (sequential_kmeans at the default constants)
+KMEANS_DIGESTS = {
+    "blobs-k2": "4b924a80e1ab5a99", "dup-k2": "53094783700b7230",
+    "mixed-k2": "ebc5530de1bb720a", "blobs-k3": "bb16a21397a936ad",
+    "dup-k3": "d5af7881517fca09", "mixed-k3": "8a1fb38646fb1431",
+    "blobs-k4": "0c85c5516012a2f2", "dup-k4": "1d6075d6bc24560f",
+    "mixed-k4": "a2e212b838398538",
+}
+
+
 class TestKmeans:
+    @pytest.mark.parametrize("name, points, k, restarts, seed", kmeans_cases(),
+                             ids=[case[0] for case in kmeans_cases()])
+    def test_batched_restarts_reproduce_pinned_digests(self, name, points, k,
+                                                       restarts, seed):
+        res = kmeans(points, k, restarts=restarts, seed=seed)
+        digest = kmeans_digest(res.labels.labels, res.centers, res.inertia)
+        assert digest == KMEANS_DIGESTS[name]
+        assert digest == kmeans_digest(*sequential_kmeans(points, k, restarts, seed))
+        if name.startswith("dup"):
+            assert res.labels.empty_clusters
+
+    @pytest.mark.parametrize("max_iter", [3, 300])
+    def test_restarts_stop_at_their_own_step(self, monkeypatch, max_iter):
+        # at KMEANS_RTOL = 0 a restart runs until its objective stops
+        # falling, so the restarts stop at different steps, some at the cap;
+        # the first step's test is then 0 * inf, nan, which fails as it does
+        # on Python floats
+        monkeypatch.setattr(cluster, "KMEANS_RTOL", 0.0)
+        monkeypatch.setattr(cluster, "KMEANS_MAX_ITER", max_iter)
+        for _, points, k, restarts, seed in kmeans_cases():
+            with np.errstate(invalid="ignore"):
+                res = kmeans(points, k, restarts=restarts, seed=seed)
+            assert (kmeans_digest(res.labels.labels, res.centers, res.inertia)
+                    == kmeans_digest(*sequential_kmeans(points, k, restarts, seed)))
+
     def test_well_separated_1d(self):
         pts = np.array([[0.0], [0.1], [10.0], [10.1]])
         res = kmeans(pts, 2, seed=0)
@@ -258,6 +353,23 @@ class TestSpectralCluster:
             backward = np.linalg.norm(y - (x @ y) * x) / np.linalg.norm(y)
             assert backward <= 10.0 * step
             deflate = np.column_stack([deflate, x])
+
+    @pytest.mark.parametrize("case", RELAXED_CASES)
+    def test_gm_values_and_residuals_match_dense_oracle(self, case):
+        # a relaxed call measures each pair through A # B at the step
+        # tolerance, the accuracy its vectors were found with; the values
+        # must still match the oracle's, and each reported residual must not
+        # understate the dense residual of the vector returned
+        g, k = RELAXED_CASES[case]()
+        res = spectral_cluster(g, k, "GM")
+        a, b = shifted_pair(g, ShiftConfig())
+        dense = dense_geometric_mean(a.to_dense(), b.to_dense())
+        values = dense_sym_eig(dense)[0][:k]
+        for pair, value in zip(res.eigenpairs, values):
+            assert abs(pair.value - value) <= 1e-6 * abs(value)
+            gx = dense @ pair.vector
+            residual = np.linalg.norm(gx - (pair.vector @ gx) * pair.vector)
+            assert pair.residual >= 0.9 * residual
 
     def test_one_seed_sequence_gives_one_answer(self):
         # spawning from the caller's SeedSequence would advance it, so a

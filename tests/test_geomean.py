@@ -565,12 +565,15 @@ class TestInexactSteps:
         full, step = geomean._inner_tol(tol), geomean._step_tol(tol, resid_tol)
         # Lanczos applies the inverse, a solve with A and a Krylov call,
         # until every pair has converged; then each pair takes one
-        # application of A # B for its value and residual
+        # application of A # B for its value and residual, at the same
+        # tolerance, which is full accuracy on strict calls
         applications = pairs[0].iterations
         assert all(p.iterations == applications for p in pairs)
+        if resid_tol == 0.0:
+            assert step == full
         inverse_step = [("cg", step, set()), ("eksm", step, {step})]
         expected = (inverse_step * applications
-                    + [("eksm", full, {full})] * len(pairs))
+                    + [("eksm", step, {step})] * len(pairs))
         assert tolerances == expected
 
     @pytest.mark.parametrize("resid_tol", [0.0, RESID_TOL],

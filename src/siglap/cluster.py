@@ -85,7 +85,7 @@ def _lloyd(points, centers):
     inertia = np.empty(r)
     prev = np.full(r, np.inf)
     run = np.arange(r)  # the sets still iterating
-    for _ in range(KMEANS_MAX_ITER):
+    for step in range(KMEANS_MAX_ITER):
         c = centers[run]
         d2 = (sq - 2.0 * points @ c.transpose(0, 2, 1)
               + np.sum(c**2, axis=2)[:, None, :])
@@ -110,7 +110,9 @@ def _lloyd(points, centers):
         centers[run] = c.reshape(run.size, k, d)
         labels[run] = lab
         inertia[run] = prev[run] = obj
-        done = (p - obj <= KMEANS_RTOL * np.maximum(p, 1e-300)) | (obj == 0.0)
+        done = obj == 0.0
+        if step:  # the first step has no previous objective to fall from
+            done |= p - obj <= KMEANS_RTOL * np.maximum(p, 1e-300)
         run = run[~done]
         if run.size == 0:
             break
@@ -208,10 +210,10 @@ class SpectralClusteringResult:
     method: str
 
 
-# spectral_cluster's backward-error test.  GM runs every solve at 1% of it:
-# Lanczos' applications of the inverse and the measurement of each pair's
-# value and residual through A # B.  The explicit methods accept a vector at
-# it even while it still rotates inside a cluster of nearly equal
+# spectral_cluster's backward-error test.  GM runs Lanczos' applications of
+# the inverse at 1% of it and takes each pair's value and residual bound
+# from them, with no application of A # B.  The explicit methods accept a
+# vector at it even while it still rotates inside a cluster of nearly equal
 # eigenvalues, a wander k-means does not see, which would take thousands of
 # iterations to settle.
 RESID_TOL = 1e-4

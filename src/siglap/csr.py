@@ -145,6 +145,15 @@ class SparseSymMatrix:
     def row_sums(self):
         return np.asarray(self._csr.sum(axis=1)).ravel()
 
+    def abs_row_sums(self):
+        """Row sums of absolute entries, by the product kernel; their
+        maximum, ``||M||_inf``, bounds the spectral norm."""
+        ptr, idx, values = self._arrays
+        y = np.zeros(self.n)
+        _sparsetools.csr_matvec(self.n, self.n, ptr, idx, np.abs(values),
+                                np.ones(self.n), y)
+        return y
+
     def abs_offdiag_row_sums(self):
         """Row sums of absolute off-diagonal entries (Gershgorin radii)."""
         absed = sp.csr_array(

@@ -240,8 +240,7 @@ def pencil_kernels(g):
     """
     # imported here, as the explicit-matrix methods never need it: after
     # `import siglap`, csgraph adds 10.2 MB of resident memory, 9.0 MB of it
-    # for the scipy.sparse.linalg it loads, so geomean's later import of
-    # eigsh adds nothing on the GM path
+    # for the scipy.sparse.linalg it loads
     from scipy.sparse.csgraph import connected_components
 
     n = g.n

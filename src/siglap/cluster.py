@@ -211,7 +211,7 @@ class SpectralClusteringResult:
 
 
 # spectral_cluster's backward-error test.  GM runs Lanczos' applications of
-# the inverse at 1% of it and takes each pair's value and residual bound
+# the inverse at 1% of it and takes each pair's value and residual estimate
 # from them, with no application of A # B.  The explicit methods accept a
 # vector at it even while it still rotates inside a cluster of nearly equal
 # eigenvalues, a wander k-means does not see, which would take thousands of

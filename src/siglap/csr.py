@@ -156,11 +156,7 @@ class SparseSymMatrix:
 
     def abs_offdiag_row_sums(self):
         """Row sums of absolute off-diagonal entries (Gershgorin radii)."""
-        absed = sp.csr_array(
-            (np.abs(self._csr.data), self._csr.indices, self._csr.indptr),
-            shape=self._csr.shape,
-        )
-        return np.asarray(absed.sum(axis=1)).ravel() - np.abs(self.diagonal_vector())
+        return self.abs_row_sums() - np.abs(self.diagonal_vector())
 
     def to_dense(self):
         return self._csr.toarray()

@@ -29,7 +29,7 @@ Every solve takes its tolerance as an argument, and this one policy sets it:
   Krylov inverse square root and its inner solves.  A strict call then
   measures each pair's value and residual through ``A # B`` at full
   accuracy.  A relaxed call takes the value from Lanczos' Ritz value and
-  reports a bound on the residual, built from the Ritz residual Lanczos
+  reports an estimate of the residual, built from the Ritz residual Lanczos
   already holds and the step tolerance.  The Ritz value carries the
   applications' error to first order: at a step tolerance of 1e-6 it stayed
   within 6e-7 relative of the dense oracle on every graph measured.  On a
@@ -102,7 +102,7 @@ class PencilOperator:
     ``tol`` is the relative CG tolerance of each solve.
 
     ``norm_bound`` is an upper bound on ``||A # B||``, which relaxed
-    eigensolves turn into residual bounds.  ``A # B`` is monotone in each
+    eigensolves turn into residual estimates.  ``A # B`` is monotone in each
     operand, so it is ``sqrt(||A|| ||B||)``, with each norm bounded by the
     operand's largest absolute row sum.  On two-cluster graphs that reads
     2.14 at n = 80 and 2.36 at n = 1e4, against the ``2 + eps`` that
@@ -374,21 +374,27 @@ def apply_geometric_mean(pencil, x, tol=DEFAULT_EKSM_TOL):
 
 @dataclass
 class EigenPair:
-    """Computed eigenpair with its achieved residual, measured or bounded,
-    never assumed.
+    """Computed eigenpair with its achieved residual, measured or
+    estimated, never assumed.
 
     For a single matrix, ``value`` and ``residual`` are measured exactly,
     with a product.  For the pencil under a strict call, they are measured
     through ``A # B`` at full accuracy.  Under a relaxed call
     (``resid_tol > 0``) ``value`` is ``1 / theta`` for Lanczos' Ritz value
-    ``theta`` of ``(A # B)^-1``, and ``residual`` is the bound
-    ``norm_bound (||r|| + e) / theta`` on ``||(A # B) x - value x||``.  Here
-    ``r`` is the Ritz residual Lanczos holds, its image of ``x`` minus
-    ``theta x``, ``e``, the step tolerance times the norm of that image,
-    stands for the image's application error, and ``norm_bound`` bounds
-    ``||A # B||`` (:class:`PencilOperator`).  The bound holds as far as every
-    application meets the step tolerance; it is at least the
-    Rayleigh-quotient residual of ``x``.
+    ``theta`` of ``(A # B)^-1``, and ``residual`` is the estimate
+    ``norm_bound (||r|| + e) / theta`` of ``||(A # B) x - value x||``.  Here
+    ``r = y - theta x`` is the Ritz residual Lanczos holds for the image
+    ``y`` of ``x``; it already holds the asymmetry that application errors
+    leave inside the basis.  ``e = step_tol ||y||`` stands for the error
+    ``d`` of ``y``, and ``norm_bound`` bounds ``||A # B||``
+    (:class:`PencilOperator`).  As ``(A # B)^-1 x = theta x + r - d``, the
+    estimate is a bound whenever ``||d|| <= e``, which nothing guarantees:
+    ``y`` combines several applications, restarts carry their errors, and a
+    CG residual tolerance bounds an error only up to the condition number.
+    Tracking each application's ``step_tol ||y_i||`` through the restarts
+    would make it a bound under that tolerance alone, but read 3.6e-4 for a
+    pair of a 12-vertex two-clique graph whose residual is 2e-12.  On every
+    graph measured, the estimate was at least 4 times the dense residual.
     ``iterations`` counts applications of the inverse: for the pencil, all
     those of the call; for a single matrix, those of this pair's iteration.
     """
@@ -517,8 +523,8 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, resid_tol,
     ``seed``.
 
     Strict calls (``resid_tol = 0``) measure each pair through ``apply``.
-    Relaxed calls return ``1 / theta`` and the bound
-    ``norm_bound (||r|| + e) / theta`` on ``||apply(x) - x / theta||``, with
+    Relaxed calls return ``1 / theta`` and the estimate
+    ``norm_bound (||r|| + e) / theta`` of ``||apply(x) - x / theta||``, with
     ``e = step_tol ||Y' c||`` for the application error of ``Y' c`` (see
     :class:`EigenPair`).  Each pair's ``iterations`` is the call's number of
     applications.  ``MAX_OUTER`` restarts without convergence raise

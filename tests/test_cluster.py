@@ -323,17 +323,22 @@ class TestSpectralCluster:
         assert clustering_error(res.labels, truth) == 0.0
 
     def test_eigen_residuals_recorded(self):
-        # SN measures each residual with a product.  A relaxed GM pair
-        # reports its certified bound norm_bound (||r|| + e) / theta, where
-        # e = step ||Y c|| is about step theta and norm_bound is 2 + eps on
-        # these cliques, so the bound is about (2 + eps) step once Lanczos'
-        # own residual r is small
+        # SN measures each residual with a product
         g, _ = two_clique_graph(6)
+        for pair in spectral_cluster(g, 2, method="SN", seed=3).eigenpairs:
+            assert pair.residual <= 1e-6
+        # a relaxed GM pair's vector meets the same cap against the dense
+        # mean.  It reports the estimate norm_bound (||r|| + e) / theta,
+        # where e = step ||Y c|| is about step theta and norm_bound is
+        # 2 + eps on these cliques, so about (2 + eps) step once Lanczos'
+        # own residual r is small
+        a, b = shifted_pair(g, ShiftConfig())
+        dense = dense_geometric_mean(a.to_dense(), b.to_dense())
         step = geomean._step_tol(geomean.DEFAULT_IPM_TOL, RESID_TOL)
-        for method, cap in (("SN", 1e-6), ("GM", 5.0 * step)):
-            res = spectral_cluster(g, 2, method=method, seed=3)
-            for pair in res.eigenpairs:
-                assert pair.residual <= cap
+        for pair in spectral_cluster(g, 2, method="GM", seed=3).eigenpairs:
+            gx = dense @ pair.vector
+            assert np.linalg.norm(gx - (pair.vector @ gx) * pair.vector) <= 1e-6
+            assert pair.residual <= 5.0 * step
 
     def test_embedding_is_smallest_eigenpairs(self):
         # one method-to-operator map: the embedding is exactly its vectors

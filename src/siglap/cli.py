@@ -16,9 +16,10 @@ Subcommands
                  numerically gets an ``NA`` row.
 
 Each subcommand takes only the options it reads: ``--out`` everywhere;
-``--seed``, ``--tol``, ``--shift-eps1`` and ``--shift-eps2`` wherever
-eigenvectors are computed (all but ``sbm-region``); ``--kmeans-restarts``
-where they are clustered (``sbm-cluster`` and ``cluster``).
+``--seed``, ``--shift-eps1`` and ``--shift-eps2`` wherever eigenvectors are
+computed (all but ``sbm-region``); ``--kmeans-restarts`` where they are
+clustered (``sbm-cluster`` and ``cluster``); ``--tol`` in ``bench`` only,
+whose solves converge strictly to it.
 
 Every CSV starts with a ``#``-prefixed JSON line holding the full run
 configuration; rerunning with the same configuration reproduces the numeric
@@ -86,8 +87,6 @@ def _add_solver(parser, kmeans):
     ``kmeans``, cluster them)."""
     shift = ShiftConfig()
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--tol", type=float, default=DEFAULT_IPM_TOL,
-                        help="eigensolver tolerance")
     parser.add_argument("--shift-eps1", type=float, default=shift.eps1,
                         help="diagonal shift on the normalized positive Laplacian (GM)")
     parser.add_argument("--shift-eps2", type=float, default=shift.eps2,
@@ -128,8 +127,7 @@ def _run_one_cluster_cell(params, method, run_seed, args, truth):
     g = sample(params, graph_seed)
     start = time.perf_counter()
     res = spectral_cluster(g, params.k, method=method, shift=_shift(args),
-                           seed=cluster_seed, restarts=args.kmeans_restarts,
-                           tol=args.tol)
+                           seed=cluster_seed, restarts=args.kmeans_restarts)
     seconds = time.perf_counter() - start
     return clustering_error(res.labels, truth), seconds
 
@@ -174,8 +172,7 @@ def cmd_cluster(args):
             raise ValueError(f"--truth and the graph differ in length "
                              f"({truth.labels.size} labels, {g.n} vertices)")
     res = spectral_cluster(g, args.k, method=args.method, shift=_shift(args),
-                           seed=args.seed, restarts=args.kmeans_restarts,
-                           tol=args.tol)
+                           seed=args.seed, restarts=args.kmeans_restarts)
     sizes = res.labels.sizes()
     payload = {
         "method": args.method,
@@ -229,12 +226,15 @@ class UsageError(Exception):
     pass
 
 
+def _method(text):
+    method = text.strip().upper()
+    if method not in METHODS:
+        raise argparse.ArgumentTypeError(f"unknown method {method!r}")
+    return method
+
+
 def _methods_list(text):
-    methods = tuple(m.strip().upper() for m in text.split(","))
-    for m in methods:
-        if m not in METHODS:
-            raise argparse.ArgumentTypeError(f"unknown method {m!r}")
-    return methods
+    return tuple(_method(m) for m in text.split(","))
 
 
 def _positive_int(minimum):
@@ -292,8 +292,8 @@ def build_parser():
                    help="nearest neighbors for the positive graph (points input)")
     p.add_argument("--k-minus", type=_positive_int(1), default=10,
                    help="farthest neighbors for the negative graph (points input)")
-    p.add_argument("--method", type=str, default="GM",
-                   choices=METHODS)
+    p.add_argument("--method", type=_method, default="GM",
+                   help="one of SN,BN,AM,GM")
     p.add_argument("--k", type=_positive_int(2), required=True,
                    help="number of clusters")
     p.add_argument("--truth", type=str, default=None,
@@ -318,6 +318,8 @@ def build_parser():
                    help="comma-separated subset of SN,BN,AM,GM")
     p.add_argument("--repetitions", type=_positive_int(1), default=10,
                    help="timed solves per cell; the median is reported")
+    p.add_argument("--tol", type=float, default=DEFAULT_IPM_TOL,
+                   help="eigensolver tolerance")
     _add_solver(p, kmeans=False)
     p.set_defaults(func=cmd_bench)
 

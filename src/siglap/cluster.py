@@ -210,24 +210,24 @@ class SpectralClusteringResult:
     method: str
 
 
-# spectral_cluster's backward-error test.  GM runs Lanczos' applications of
-# the inverse at 1% of it and takes each pair's value and residual estimate
-# from them, with no application of A # B.  The explicit methods accept a
-# vector at it even while it still rotates inside a cluster of nearly equal
-# eigenvalues, a wander k-means does not see, which would take thousands of
-# iterations to settle.
+# spectral_cluster's tolerance, for a relaxed call.  GM runs Lanczos'
+# applications of the inverse at 1% of it and takes each pair's value and
+# residual estimate from them, with no application of A # B.  The explicit
+# methods accept a vector at a backward error of it even while it still
+# rotates inside a cluster of nearly equal eigenvalues, a wander k-means does
+# not see, which would take thousands of iterations to settle.
 RESID_TOL = 1e-4
 
 
 def smallest_eigenpairs(g, k, method, shift=None, tol=DEFAULT_IPM_TOL,
-                        seed=0, resid_tol=0.0):
+                        seed=0, relaxed=False):
     """The ``k`` smallest eigenpairs of the operator ``method`` names for ``g``.
 
     ``GM`` is the geometric mean of the shifted normalized pair (``shift``,
     default :class:`ShiftConfig`), solved matrix-free with inner solves
     deflated by the pair's kernels; ``SN``/``BN``/``AM``
-    are explicit matrices (``shift`` is ignored).  ``resid_tol > 0`` loosens
-    the inner solves and accepts explicit-method vectors at that error.
+    are explicit matrices (``shift`` is ignored).  A ``relaxed`` call
+    accepts its pairs at ``tol`` and loosens the inner solves to match.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -235,28 +235,27 @@ def smallest_eigenpairs(g, k, method, shift=None, tol=DEFAULT_IPM_TOL,
         a, b = shifted_pair(g, shift if shift is not None else ShiftConfig())
         pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
         return smallest_k_eigenpairs(pencil, k, tol=tol, seed=seed,
-                                     resid_tol=resid_tol)
+                                     relaxed=relaxed)
     return matrix_smallest_k_eigenpairs(
         signed_laplacian(g, method), k, definite=method != "BN", tol=tol,
-        seed=seed, resid_tol=resid_tol,
+        seed=seed, relaxed=relaxed,
     )
 
 
-def spectral_cluster(g, k, method="GM", shift=None, seed=0, restarts=10,
-                     tol=DEFAULT_IPM_TOL):
+def spectral_cluster(g, k, method="GM", shift=None, seed=0, restarts=10):
     """Cluster a signed graph from the k smallest eigenvectors of an operator.
 
     ``method`` selects the operator (see :func:`smallest_eigenpairs`), solved
-    with ``resid_tol=RESID_TOL``; the embedding rows are then clustered with
-    k-means.
+    with ``tol=RESID_TOL, relaxed=True``; the embedding rows are then
+    clustered with k-means.
     """
     if g.n == 0:
         raise ValueError("graph is empty")
     if not 2 <= k <= g.n:
         raise ValueError(f"k must be in [2, {g.n}], got {k}")
     eig_seed, km_seed = as_seed_sequence(seed).spawn(2)
-    pairs = smallest_eigenpairs(g, k, method, shift=shift, tol=tol,
-                                seed=eig_seed, resid_tol=RESID_TOL)
+    pairs = smallest_eigenpairs(g, k, method, shift=shift, tol=RESID_TOL,
+                                seed=eig_seed, relaxed=True)
     embedding = np.column_stack([p.vector for p in pairs])
     km = kmeans(embedding, k, restarts=restarts, seed=km_seed)
     return SpectralClusteringResult(

@@ -17,24 +17,23 @@ operands are sparse, so it is never formed.  Instead:
   inverse (Simoncini, SINUM 43(3), 2005).  It keeps each basis vector's
   image next to it, so every Ritz pair's residual comes without a product.
 
-Every solve takes its tolerance as an argument, and this one policy sets it:
-
-* full accuracy for an outer tolerance ``tol`` is ``_inner_tol(tol)``, 1% of
-  ``tol`` clipped to ``[TOL_FLOOR, DEFAULT_EKSM_TOL]``;
-* every solve of one eigensolve runs at ``_step_tol(tol, resid_tol)``:
-  full accuracy on strict calls, else ``INNER_RATIO * resid_tol``, never
-  tighter (Golub & Ye, BIT 40(4), 2000; Berns-Müller, Graham & Spence,
-  LAA 416, 2006).  On the pencil that is every ``inv_apply(x, rtol)`` and
-  Lanczos' own tolerance; ``rtol`` holds for the solve with ``A``, the
-  Krylov inverse square root and its inner solves.  A strict call then
-  measures each pair's value and residual through ``A # B`` at full
-  accuracy.  A relaxed call takes the value from Lanczos' Ritz value and
-  reports an estimate of the residual, built from the Ritz residual Lanczos
-  already holds and the step tolerance.  The Ritz value carries the
-  applications' error to first order: at a step tolerance of 1e-6 it stayed
-  within 6e-7 relative of the dense oracle on every graph measured.  On a
-  single matrix ``rtol`` is the CG tolerance, and values and residuals are
-  measured exactly, with products.
+Every eigensolve takes one tolerance ``tol`` and a ``relaxed`` flag, and
+every solve it makes runs at ``_step_tol(tol, relaxed)``.  A strict call
+stops at ``tol`` and solves at full accuracy, ``_inner_tol(tol)``:
+``INNER_RATIO * tol`` clipped to ``[TOL_FLOOR, DEFAULT_EKSM_TOL]``.  A
+relaxed call accepts its pairs at ``tol`` itself, so it solves only to
+``INNER_RATIO * tol``, never tighter (Golub & Ye, BIT 40(4), 2000;
+Berns-Müller, Graham & Spence, LAA 416, 2006).  On the pencil that is every
+``inv_apply(x, rtol)`` and Lanczos' own stop test; ``rtol`` holds for the
+solve with ``A``, the Krylov inverse square root and its inner solves.  A
+strict call then measures each pair's value and residual through ``A # B``
+at full accuracy.  A relaxed call takes the value from Lanczos' Ritz value
+and reports an estimate of the residual, built from the Ritz residual
+Lanczos already holds and the step tolerance.  The Ritz value carries the
+applications' error to first order: at a step tolerance of 1e-6 it stayed
+within 6e-7 relative of the dense oracle on every graph measured.  On a
+single matrix ``rtol`` is the CG tolerance, and values and residuals are
+measured exactly, with products.
 
 Every inner system of the pencil is solved exactly on known eigenvectors,
 for a signed graph the kernels of ``Lsym+`` and ``Qsym-`` whose shifts
@@ -66,9 +65,12 @@ DEFAULT_EKSM_TOL = 1e-10
 # rounding can still deliver
 TOL_FLOOR = 1e-14
 DEFAULT_IPM_TOL = 1e-8
-# Lanczos restarts of one eigensolve, or steps of one pair's inverse
-# iteration, before a ConvergenceError
+# Lanczos restarts of one eigensolve before a ConvergenceError
 MAX_OUTER = 500
+# steps of one pair's inverse iteration before a ConvergenceError: inside a
+# cluster of relative spread d a relaxed pair needs about ln(d / tol) / d,
+# at most 1 / (e tol) = 3.7e3 at tol = 1e-4 (767 at d = 5e-3 on a kNN graph)
+MAX_INVERSE_STEPS = 5000
 # extended Krylov steps of one application before a ConvergenceError
 MAX_EKSM_STEPS = 60
 # a_orthonormalize reports breakdown once a vector keeps less than this
@@ -80,8 +82,8 @@ BASIS_CAPACITY = 16
 # diagonal shift that makes a positive semidefinite matrix definite for the
 # inner solves of matrix_smallest_k_eigenpairs
 MATRIX_SHIFT = 1e-6
-# under a relaxed backward-error test resid_tol, every solve of the
-# eigensolve runs at INNER_RATIO * resid_tol
+# every solve of an eigensolve runs at this share of its tolerance: the
+# outer iteration cannot settle below its inner solves' accuracy
 INNER_RATIO = 1e-2
 # eksm_apply_inv_sqrt stops once MARGIN times the extrapolated error of its
 # approximant meets the tolerance; the margin covers the contraction ratio
@@ -379,10 +381,10 @@ class EigenPair:
 
     For a single matrix, ``value`` and ``residual`` are measured exactly,
     with a product.  For the pencil under a strict call, they are measured
-    through ``A # B`` at full accuracy.  Under a relaxed call
-    (``resid_tol > 0``) ``value`` is ``1 / theta`` for Lanczos' Ritz value
-    ``theta`` of ``(A # B)^-1``, and ``residual`` is the estimate
-    ``norm_bound (||r|| + e) / theta`` of ``||(A # B) x - value x||``.  Here
+    through ``A # B`` at full accuracy.  Under a relaxed call ``value`` is
+    ``1 / theta`` for Lanczos' Ritz value ``theta`` of ``(A # B)^-1``, and
+    ``residual`` is the estimate ``norm_bound (||r|| + e) / theta`` of
+    ``||(A # B) x - value x||``.  Here
     ``r = y - theta x`` is the Ritz residual Lanczos holds for the image
     ``y`` of ``x``; it already holds the asymmetry that application errors
     leave inside the basis.  ``e = step_tol ||y||`` stands for the error
@@ -405,21 +407,19 @@ class EigenPair:
     iterations: int
 
 
-def _inverse_iteration(inv_apply, deflate, tol, seed, resid_tol):
+def _inverse_iteration(inv_apply, deflate, tol, seed, relaxed):
     """Inverse power iteration orthogonal to the Euclidean-orthonormal columns
     of ``deflate``; returns the unit iterate and the number of steps.
 
-    Stops when successive (sign-aligned) iterates differ by at most ``tol``
-    or, for positive ``resid_tol``, once the backward error
-    ``||y - (x.y) x|| / ||y||`` of the deflated inverse is at most
-    ``resid_tol``, or has stalled below ``stall_cap`` for ``stall_window``
-    steps: inside a cluster of nearly equal eigenvalues the vector keeps
-    rotating (about 1/spread steps) long after that error reached its floor.
+    A strict call stops once successive (sign-aligned) iterates differ by at
+    most ``tol``, a relaxed one once the backward error
+    ``||y - (x.y) x|| / ||y||`` of the deflated inverse is at most ``tol``:
+    ``sin phi`` for the angle ``phi`` between ``x`` and its successor, which
+    differ by ``2 sin(phi / 2)``.  Inside a cluster of nearly equal
+    eigenvalues that error falls slowly (see ``MAX_INVERSE_STEPS``); a vector
+    accepted before it fell held eigenvalues up to 1e-1 off.
     """
-    stall_window = 30
-    stall_cap = max(100.0 * resid_tol, 1e-2) if resid_tol > 0.0 else 0.0
-    backward_trace = []
-    step_tol = _step_tol(tol, resid_tol)
+    step_tol = _step_tol(tol, relaxed)
 
     x = np.random.default_rng(seed).standard_normal(deflate.shape[0])
     if deflate.shape[1]:
@@ -429,7 +429,7 @@ def _inverse_iteration(inv_apply, deflate, tol, seed, resid_tol):
         raise ValueError("start vector lies in the deflation space")
     x /= nx
 
-    for k in range(1, MAX_OUTER + 1):
+    for k in range(1, MAX_INVERSE_STEPS + 1):
         y = inv_apply(x, step_tol)
         if deflate.shape[1]:
             y -= deflate @ (deflate.T @ y)
@@ -444,43 +444,34 @@ def _inverse_iteration(inv_apply, deflate, tol, seed, resid_tol):
             x_new = -x_new
         diff = float(np.linalg.norm(x_new - x))
         x = x_new
-        if diff <= tol or (resid_tol > 0.0 and backward <= resid_tol):
-            return x, k
-        backward_trace.append(backward)
-        if (resid_tol > 0.0 and backward <= stall_cap
-                and k > stall_window
-                and backward > 0.5 * backward_trace[-1 - stall_window]):
-            # less than a factor-2 gain over the whole window: the backward
-            # error has hit its spread floor
+        if (backward if relaxed else diff) <= tol:
             return x, k
 
     raise ConvergenceError(
-        f"inverse power iteration did not converge in {MAX_OUTER} steps "
-        f"(last step size {diff:.3e}, backward error {backward:.3e})",
+        f"inverse power iteration did not converge in {MAX_INVERSE_STEPS} "
+        f"steps (last step size {diff:.3e}, backward error {backward:.3e})",
         iterate=x,
         residual=diff,
-        iterations=MAX_OUTER,
+        iterations=MAX_INVERSE_STEPS,
     )
 
 
 def _inner_tol(tol):
-    # the outer iteration cannot settle below the inner solver's accuracy
-    return max(TOL_FLOOR, min(DEFAULT_EKSM_TOL, 0.01 * tol))
+    return max(TOL_FLOOR, min(DEFAULT_EKSM_TOL, INNER_RATIO * tol))
 
 
-def _step_tol(tol, resid_tol):
-    # a step accepted at backward error resid_tol need only be solved to a
-    # small share of it; never tighter than a strict call's steps
-    return max(_inner_tol(tol), INNER_RATIO * resid_tol)
+def _step_tol(tol, relaxed):
+    # a step of a call that accepts at tol need only be solved to a small
+    # share of it; never tighter than a strict call's steps
+    full = _inner_tol(tol)
+    return max(full, INNER_RATIO * tol) if relaxed else full
 
 
-def _check_request(n, k, tol, resid_tol):
+def _check_request(n, k, tol):
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if not 0.0 < tol < 1.0:
+    if not 0.0 < tol < 1.0:  # NaN fails too
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    if not 0.0 <= resid_tol < 1.0:  # NaN fails too
-        raise ValueError(f"resid_tol must be in [0, 1), got {resid_tol}")
 
 
 def _measured_pair(x, ax, iterations):
@@ -501,19 +492,19 @@ def _project_out(basis, w):
     return w, bool(np.linalg.norm(w) <= BREAKDOWN_RTOL * nw)
 
 
-def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, resid_tol,
+def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, relaxed,
                       norm_bound):
     """The ``k`` smallest eigenpairs of ``apply``, the largest of its inverse
     ``inv_apply``, by thick-restart Lanczos (Wu & Simon, SIMAX 22(2), 2000).
 
     The basis ``V`` (orthonormal rows, fully reorthogonalized) and its
-    images ``Y = inv_apply(V)`` at the call's step tolerance are kept side
-    by side, ``ncv = min(n, 2k + 1)`` rows each.  After every application
-    the Ritz pairs ``(theta, x = V' c)`` of ``sym(V Y')`` give each pair's
-    residual ``r = Y' c - theta x`` without a product.  The run stops once
-    the part of ``r`` outside the basis, the Lanczos residual, is at most
-    ``step_tol theta`` for all ``k`` pairs, or once the basis spans the
-    space; the part inside it comes from the applications' errors, which
+    images ``Y = inv_apply(V)`` at ``step_tol = _step_tol(tol, relaxed)``
+    are kept side by side, ``ncv = min(n, 2k + 1)`` rows each.  After every
+    application the Ritz pairs ``(theta, x = V' c)`` of ``sym(V Y')`` give
+    each pair's residual ``r = Y' c - theta x`` without a product.  The run
+    stops once the part of ``r`` outside the basis, the Lanczos residual, is
+    at most ``step_tol theta`` for all ``k`` pairs, or once the basis spans
+    the space; the part inside it comes from the applications' errors, which
     further steps do not reduce.  A full basis restarts on its
     ``k + (ncv - k) // 2`` leading Ritz vectors and their images ``Y' c``,
     and goes on from the direction the Lanczos recurrence would add next.
@@ -522,8 +513,8 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, resid_tol,
     for a full basis.  The start vector and those random ones come from
     ``seed``.
 
-    Strict calls (``resid_tol = 0``) measure each pair through ``apply``.
-    Relaxed calls return ``1 / theta`` and the estimate
+    Strict calls measure each pair through ``apply`` at ``step_tol``, there
+    full accuracy.  Relaxed calls return ``1 / theta`` and the estimate
     ``norm_bound (||r|| + e) / theta`` of ``||apply(x) - x / theta||``, with
     ``e = step_tol ||Y' c||`` for the application error of ``Y' c`` (see
     :class:`EigenPair`).  Each pair's ``iterations`` is the call's number of
@@ -531,8 +522,8 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, resid_tol,
     :class:`ConvergenceError` with the Ritz vectors, as columns, as
     ``iterate``; errors of ``inv_apply`` pass through.
     """
-    _check_request(n, k, tol, resid_tol)
-    step_tol = _step_tol(tol, resid_tol)
+    _check_request(n, k, tol)
+    step_tol = _step_tol(tol, relaxed)
     rng = np.random.default_rng(as_seed_sequence(seed))
     ncv = min(n, 2 * k + 1)
     basis = np.empty((ncv, n))
@@ -574,7 +565,7 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, resid_tol,
             restarts += 1
         while invariant:
             w, invariant = _project_out(basis[:m], rng.standard_normal(n))
-    if resid_tol == 0.0:
+    if not relaxed:
         return [_measured_pair(v, apply(v, step_tol), applications) for v in x]
     resid = np.linalg.norm(r, axis=1) + step_tol * np.linalg.norm(yc, axis=1)
     bound = norm_bound * resid / theta
@@ -584,11 +575,11 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, resid_tol,
 
 
 def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL, seed=0,
-                          resid_tol=0.0):
+                          relaxed=False):
     """The ``k`` smallest eigenpairs of ``A # B``, by Lanczos on its inverse.
 
     ``(A # B)^-1`` is a solve with ``A``, then the Krylov inverse square
-    root; ``MAX_OUTER`` caps Lanczos restarts and ``resid_tol`` loosens
+    root; ``MAX_OUTER`` caps Lanczos restarts and ``relaxed`` loosens
     every inner solve.  A strict call measures values and residuals through
     ``A # B`` matrix-free; a relaxed one takes them from Lanczos, with
     ``pencil.norm_bound`` (see :class:`EigenPair`).
@@ -600,11 +591,11 @@ def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL, seed=0,
         return apply_geometric_mean(pencil, x, tol=rtol)
 
     return _lanczos_smallest(inv_apply, apply, pencil.n, k, tol, seed,
-                             resid_tol, pencil.norm_bound)
+                             relaxed, pencil.norm_bound)
 
 
 def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
-                                 seed=0, resid_tol=0.0):
+                                 seed=0, relaxed=False):
     """The ``k`` smallest eigenpairs of one sparse symmetric matrix.
 
     Sequential deflated inverse iteration on ``m + sigma I`` with IC(0)
@@ -612,9 +603,11 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     ``seed``.  ``definite=True`` asserts ``m`` is positive semidefinite and
     uses ``sigma = MATRIX_SHIFT``; otherwise a Gershgorin bound raises the
     shift until the iteration matrix is SPD.  Values and residuals refer to
-    ``m`` itself, measured exactly with ``m.matvec``.
+    ``m`` itself, measured exactly with ``m.matvec``; ``relaxed`` accepts
+    each vector at a backward error of ``tol`` (see
+    :func:`_inverse_iteration`).
     """
-    _check_request(m.n, k, tol, resid_tol)
+    _check_request(m.n, k, tol)
     sigma = MATRIX_SHIFT
     if not definite:
         gersh = float(np.min(m.diagonal_vector() - m.abs_offdiag_row_sums()))
@@ -628,7 +621,7 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     basis = np.empty((m.n, 0))
     pairs = []
     for child in as_seed_sequence(seed).spawn(k):
-        x, iters = _inverse_iteration(inv_apply, basis, tol, child, resid_tol)
+        x, iters = _inverse_iteration(inv_apply, basis, tol, child, relaxed)
         basis = np.column_stack([basis, x])
         pairs.append(_measured_pair(x, m.matvec(x), iters))
     if np.any(np.diff([p.value for p in pairs]) < -1e-8):

@@ -146,6 +146,20 @@ class TestClusterCommand:
         assert code == 0
         assert json.loads(labels_out.read_text())["error"] <= 0.1
 
+    def test_method_name_is_case_folded(self, tmp_path):
+        # as --methods is for sbm-cluster and bench
+        edges, _ = self.write_two_cliques(tmp_path)
+        payloads = []
+        for method in ("gm", "GM"):
+            labels_out = tmp_path / f"{method}.json"
+            code = main(["cluster", "--edges", str(edges), "--k", "2",
+                         "--method", method, "--labels-out", str(labels_out),
+                         "--out", str(tmp_path / f"{method}.csv")])
+            assert code == 0
+            payloads.append(json.loads(labels_out.read_text()))
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["method"] == "GM"
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = main(["cluster", "--edges", str(tmp_path / "nope.txt"), "--k", "2"])
         assert code == 2
@@ -248,6 +262,8 @@ class TestOptions:
         ("sbm-region", ["--shift-eps2", "1e-3"]),
         ("sbm-region", ["--kmeans-restarts", "2"]),
         ("bench", ["--kmeans-restarts", "2"]),
+        ("cluster", ["--tol", "1e-6"]),
+        ("sbm-cluster", ["--tol", "1e-6"]),
         ("sbm-region", ["--threads", "2"]),
         ("sbm-cluster", ["--threads", "2"]),
         ("cluster", ["--threads", "2"]),
@@ -335,17 +351,17 @@ class TestInputErrors:
                            capsys)
         assert f"{points} holds no points" in err
 
-    @pytest.mark.parametrize("option, value, message", [
-        ("--shift-eps1", "nan", "shifts must be nonnegative"),
-        ("--tol", "inf", "tol must be in (0, 1)"),
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("cluster", "--shift-eps1", "nan", "shifts must be nonnegative"),
+        ("bench", "--tol", "inf", "tol must be in (0, 1)"),
     ])
-    def test_solver_setting_out_of_range(self, tmp_path, capsys, option,
-                                         value, message):
+    def test_solver_setting_out_of_range(self, tmp_path, capsys, monkeypatch,
+                                         command, option, value, message):
         # a NaN shift would otherwise reach CG and exit 1 as a numerical
         # failure
-        edges = write_clique(tmp_path / "edges.txt", 4)
-        err = self.run(["cluster", "--edges", edges, "--k", "2", option,
-                        value], capsys)
+        monkeypatch.chdir(tmp_path)
+        write_clique(tmp_path / "edges.txt", 4)
+        err = self.run([command, *REQUIRED[command], option, value], capsys)
         assert message in err
 
     def test_odd_bench_size(self, capsys):

@@ -10,6 +10,7 @@ from siglap import (ClusterLabels, PencilOperator, ShiftConfig, SignedGraph,
                     pencil_kernels, shifted_pair, signed_laplacian,
                     smallest_eigenpairs, spectral_cluster)
 from siglap.cluster import METHODS, RESID_TOL, load_labels, load_points
+from siglap.densela import subspace_angle
 from siglap.sbm import (SbmParams, indicator_basis, sample,
                         two_cluster_benchmark_graph)
 
@@ -334,7 +335,7 @@ class TestSpectralCluster:
         # own residual r is small
         a, b = shifted_pair(g, ShiftConfig())
         dense = dense_geometric_mean(a.to_dense(), b.to_dense())
-        step = geomean._step_tol(geomean.DEFAULT_IPM_TOL, RESID_TOL)
+        step = geomean._step_tol(RESID_TOL, True)
         for pair in spectral_cluster(g, 2, method="GM", seed=3).eigenpairs:
             gx = dense @ pair.vector
             assert np.linalg.norm(gx - (pair.vector @ gx) * pair.vector) <= 1e-6
@@ -346,8 +347,8 @@ class TestSpectralCluster:
         for seed, method in enumerate(METHODS):
             res = spectral_cluster(g, 2, method=method, seed=seed)
             eig_seed, _ = np.random.SeedSequence(seed).spawn(2)
-            pairs = smallest_eigenpairs(g, 2, method, seed=eig_seed,
-                                        resid_tol=RESID_TOL)
+            pairs = smallest_eigenpairs(g, 2, method, tol=RESID_TOL,
+                                        seed=eig_seed, relaxed=True)
             np.testing.assert_array_equal(
                 np.column_stack([p.vector for p in pairs]), res.embedding)
 
@@ -359,11 +360,10 @@ class TestSpectralCluster:
         # times it, measured at full accuracy (the worst case, the third
         # pair of "stalled-k3-1", is at 1e-6).
         g, k = RELAXED_CASES[case]()
-        tol = 1e-8
-        res = spectral_cluster(g, k, "GM", tol=tol)
+        res = spectral_cluster(g, k, "GM")
         a, b = shifted_pair(g, ShiftConfig())
-        full = geomean._inner_tol(tol)
-        step = geomean._step_tol(tol, RESID_TOL)
+        full = geomean._inner_tol(geomean.DEFAULT_IPM_TOL)
+        step = geomean._step_tol(RESID_TOL, True)
         pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
         deflate = np.empty((g.n, 0))
         for pair in res.eigenpairs:
@@ -391,6 +391,24 @@ class TestSpectralCluster:
             residual = np.linalg.norm(gx - (pair.vector @ gx) * pair.vector)
             assert pair.residual >= residual
 
+    @pytest.mark.parametrize("run", [0, 1])
+    def test_sn_waits_out_a_stalled_backward_error(self, run):
+        # the graphs and seeds `siglap sbm-cluster --seed 9` clusters.  The
+        # backward error of SN's second or third pair stalls above
+        # RESID_TOL for 30 steps; accepting it there (a stall exit) returned
+        # embeddings 0.48 and 1.23 rad from the oracle's eigenspace and a
+        # third value 1.5e-2 off.  Waited out, the pairs take up to 283 and
+        # 453 steps, which a cap of 500 steps would leave little margin
+        # (MAX_INVERSE_STEPS is 5000)
+        run_seed = np.random.SeedSequence(9).spawn(2)[run]
+        graph_seed, cluster_seed = run_seed.spawn(2)
+        g = sample(SbmParams(3, 15, 0.4, 0.25, 0.25, 0.4), graph_seed)
+        res = spectral_cluster(g, 3, "SN", seed=cluster_seed)
+        w, v = dense_sym_eig(signed_laplacian(g, "SN").to_dense())
+        values = np.array([p.value for p in res.eigenpairs])
+        assert np.all(np.abs(values - w[:3]) <= 1e-6 * np.abs(w[:3]))
+        assert subspace_angle(res.embedding, v[:, :3]) <= 1e-2
+
     def test_one_seed_sequence_gives_one_answer(self):
         # spawning from the caller's SeedSequence would advance it, so a
         # second call with the same object would draw different seeds
@@ -411,11 +429,6 @@ class TestSpectralCluster:
             spectral_cluster(g, 2, method="XX")
         with pytest.raises(ValueError, match="k"):
             spectral_cluster(g, g.n + 1)
-        # tol=inf would stop each pair after one inverse step
-        for method in ("GM", "SN"):
-            for tol in (np.inf, np.nan, -1.0, 0.0, 1.0):
-                with pytest.raises(ValueError, match="tol"):
-                    spectral_cluster(g, 2, method=method, tol=tol)
 
 
 class TestLoaders:

@@ -20,6 +20,9 @@ from siglap.graphs import (SignedGraph, laplacian, pencil_kernels,
 from siglap.sbm import (SbmParams, conditions, expected_graph, indicator_basis,
                         sample, two_cluster_benchmark_graph)
 
+# (tol, relaxed) of a strict call and of spectral_cluster's relaxed one
+SOLVE_MODES = [(1e-8, False), (RESID_TOL, True)]
+
 
 def sbm_graph(n_half, seed, **kw):
     params = SbmParams(k=2, cluster_size=n_half,
@@ -487,15 +490,17 @@ class TestSmallestK:
         with pytest.raises(ValueError):
             smallest_k_eigenpairs(pencil, 5)
 
-    @pytest.mark.parametrize("resid_tol", [np.inf, np.nan, -1.0, 1.0])
+    # tol=inf would stop each pair after one inverse step
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, 0.0, 1.0])
     @pytest.mark.parametrize("solve", [
         smallest_k_eigenpairs,
         lambda pencil, k, **kw: matrix_smallest_k_eigenpairs(pencil.a, k, **kw),
     ], ids=["pencil", "matrix"])
-    def test_resid_tol_validation(self, solve, resid_tol):
+    def test_tol_validation(self, solve, tol):
         pencil = sbm_pencil(10, seed=1)
-        with pytest.raises(ValueError, match="resid_tol"):
-            solve(pencil, 1, resid_tol=resid_tol)
+        for relaxed in (False, True):
+            with pytest.raises(ValueError, match="tol"):
+                solve(pencil, 1, tol=tol, relaxed=relaxed)
 
     def test_every_pair_when_k_is_n(self):
         # k = n fills the basis with n applications; Lanczos stops there,
@@ -526,7 +531,7 @@ class TestSmallestK:
                                 SparseSymMatrix.identity(6))
         first, again, other = (
             np.column_stack([p.vector for p in smallest_k_eigenpairs(
-                pencil, 2, seed=seed, resid_tol=RESID_TOL)])
+                pencil, 2, tol=RESID_TOL, seed=seed, relaxed=True)])
             for seed in (3, 3, 4))
         np.testing.assert_array_equal(first, again)
         assert not np.allclose(np.abs(first), np.abs(other))
@@ -567,16 +572,15 @@ def tolerances(monkeypatch):
 
 
 class TestInexactSteps:
-    @pytest.mark.parametrize("resid_tol", [0.0, RESID_TOL],
+    @pytest.mark.parametrize("tol, relaxed", SOLVE_MODES,
                              ids=["strict", "relaxed"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gm_inverse_steps_run_at_the_step_tolerance(
-            self, tolerances, seed, resid_tol):
+            self, tolerances, seed, tol, relaxed):
         g = two_cluster_benchmark_graph(80, 50, seed)[0]
-        tol = 1e-8
         pairs = smallest_eigenpairs(g, 2, "GM", tol=tol, seed=seed,
-                                    resid_tol=resid_tol)
-        full, step = geomean._inner_tol(tol), geomean._step_tol(tol, resid_tol)
+                                    relaxed=relaxed)
+        full, step = geomean._inner_tol(tol), geomean._step_tol(tol, relaxed)
         # Lanczos applies the inverse, a solve with A and a Krylov call,
         # until every pair has converged.  A strict call then measures each
         # pair's value and residual with one application of A # B at full
@@ -584,26 +588,25 @@ class TestInexactSteps:
         applications = pairs[0].iterations
         assert all(p.iterations == applications for p in pairs)
         inverse_step = [("cg", step, set()), ("eksm", step, {step})]
-        if resid_tol == 0.0:
+        if not relaxed:
             assert step == full
             measurement = [("eksm", step, {step})] * len(pairs)
         else:
             measurement = []
         assert tolerances == inverse_step * applications + measurement
 
-    @pytest.mark.parametrize("resid_tol", [0.0, RESID_TOL],
+    @pytest.mark.parametrize("tol, relaxed", SOLVE_MODES,
                              ids=["strict", "relaxed"])
     def test_explicit_inverse_steps_run_at_the_step_tolerance(
-            self, tolerances, resid_tol):
+            self, tolerances, tol, relaxed):
         # SN's second and third eigenvalues on the two-cluster graphs lie
         # within 2% of each other, too close for strict convergence
         g = empty_minus()
-        tol = 1e-8
-        pairs = smallest_eigenpairs(g, 2, "SN", tol=tol, resid_tol=resid_tol)
+        pairs = smallest_eigenpairs(g, 2, "SN", tol=tol, relaxed=relaxed)
         # SN's values and residuals come from products with the matrix, so
         # every solve is an inverse step
         n_steps = sum(p.iterations for p in pairs)
-        step = geomean._step_tol(tol, resid_tol)
+        step = geomean._step_tol(tol, relaxed)
         assert tolerances == [("cg", step, set())] * n_steps
 
 
@@ -753,26 +756,27 @@ def assert_pairs_match_oracle(pairs, dense, value_rtol, value_atol, angle_tol,
 
 # each hard case under strict convergence and under spectral_cluster's relaxed
 # acceptance
-HARD_CASE_MODES = [pytest.param(case, resid_tol, id=case + suffix)
+HARD_CASE_MODES = [pytest.param(case, tol, relaxed, id=case + suffix)
                    for case in GM_HARD_CASES
-                   for resid_tol, suffix in ((0.0, ""), (RESID_TOL, "-relaxed"))]
+                   for (tol, relaxed), suffix in zip(SOLVE_MODES,
+                                                     ("", "-relaxed"))]
 
 
 class TestGmHardCases:
-    @pytest.mark.parametrize("case, resid_tol", HARD_CASE_MODES)
-    def test_smallest_pairs_match_dense_oracle(self, case, resid_tol):
+    @pytest.mark.parametrize("case, tol, relaxed", HARD_CASE_MODES)
+    def test_smallest_pairs_match_dense_oracle(self, case, tol, relaxed):
         # Lanczos converges every pair whatever the inner accuracy, so the
         # relaxed mode, which only loosens the inner solves, meets the
         # strict bounds too
         g = GM_HARD_CASES[case]()
         shift = ShiftConfig(1e-4, 1e-4)
-        pairs = smallest_eigenpairs(g, 2, "GM", shift=shift, tol=1e-8,
-                                    resid_tol=resid_tol)
+        pairs = smallest_eigenpairs(g, 2, "GM", shift=shift, tol=tol,
+                                    relaxed=relaxed)
         a, b = shifted_pair(g, shift)
         dense = dense_geometric_mean(a.to_dense(), b.to_dense())
         assert_pairs_match_oracle(pairs, dense, value_rtol=1e-6,
                                   value_atol=0.0, angle_tol=1e-5, relaxed=False)
-        if resid_tol > 0.0:
+        if relaxed:
             assert_residual_estimates_cover(pairs, dense)
 
 
@@ -784,27 +788,27 @@ class TestGmNearDegenerate:
         g = sample(SbmParams(k, ORACLE_CAP // k, 0.3, 0.05, 0.05, 0.3), 1)
         a, b = shifted_pair(g, ShiftConfig())
         dense = dense_geometric_mean(a.to_dense(), b.to_dense())
-        for resid_tol in (0.0, RESID_TOL):
-            pairs = smallest_eigenpairs(g, k, "GM", tol=1e-8,
-                                        resid_tol=resid_tol)
+        for tol, relaxed in SOLVE_MODES:
+            pairs = smallest_eigenpairs(g, k, "GM", tol=tol, relaxed=relaxed)
             assert_pairs_match_oracle(pairs, dense, value_rtol=1e-6,
                                       value_atol=0.0, angle_tol=1e-5,
                                       relaxed=False)
-            if resid_tol > 0.0:
+            if relaxed:
                 assert_residual_estimates_cover(pairs, dense)
 
 
 class TestExplicitHardCases:
-    @pytest.mark.parametrize("case, resid_tol", HARD_CASE_MODES)
+    @pytest.mark.parametrize("case, tol, relaxed", HARD_CASE_MODES)
     @pytest.mark.parametrize("method", ["SN", "BN", "AM"])
-    def test_smallest_pairs_match_dense_oracle(self, case, method, resid_tol):
+    def test_smallest_pairs_match_dense_oracle(self, case, method, tol,
+                                               relaxed):
         # SN/BN/AM have exact zero eigenvalues on these graphs, so their
         # values are checked in absolute terms
         g = GM_HARD_CASES[case]()
-        pairs = smallest_eigenpairs(g, 2, method, tol=1e-8, resid_tol=resid_tol)
+        pairs = smallest_eigenpairs(g, 2, method, tol=tol, relaxed=relaxed)
         assert_pairs_match_oracle(
             pairs, signed_laplacian(g, method).to_dense(), value_rtol=0.0,
-            value_atol=1e-10, angle_tol=1e-5, relaxed=resid_tol > 0.0)
+            value_atol=1e-10, angle_tol=1e-5, relaxed=relaxed)
 
 
 class TestMatrixEigensolver:
@@ -822,11 +826,10 @@ class TestMatrixEigensolver:
         for p in pairs:
             assert p.residual <= 1e-6
 
-    def test_matches_dense_eigendecomposition(self, monkeypatch):
+    def test_matches_dense_eigendecomposition(self):
         pencil = sbm_pencil(30, seed=17)
         m = pencil.a  # any SPD sparse matrix works here
         # the third pair takes 561 steps of strict inverse iteration
-        monkeypatch.setattr(geomean, "MAX_OUTER", 3000)
         pairs = matrix_smallest_k_eigenpairs(m, 3, tol=1e-9)
         w = dense_sym_eig(m.to_dense())[0]
         np.testing.assert_allclose([p.value for p in pairs], w[:3], atol=1e-7)

@@ -227,27 +227,57 @@ def _kernel_basis(labels, signs, d):
     return KernelBasis(ids=ids, entries=entries, count=count)
 
 
+def _components(row_ptr, col_idx, values):
+    """Connected components of the symmetric graph with these CSR arrays, each
+    vertex labeled by the smallest vertex of its component; a stored zero is
+    no edge.
+
+    Min-label hook and shortcut (FastSV: Zhang, Azad & Hu, SIAM PP 2020), in
+    vectorized rounds over a parent array ``f``, with ``f[u] <= u``.  A round
+    takes, for each vertex, the smallest grandparent ``f[f]`` over itself and
+    its neighbors, and lowers both the vertex's parent and the vertex to it;
+    as ``f[f] <= f``, that also shortcuts the vertex to its grandparent.  The
+    labels are final once a round leaves ``f[f]`` unchanged.
+    """
+    n = row_ptr.size - 1
+    edge = values != 0.0
+    # without stored zeros the arrays are used as they are: at n = 1e5 the
+    # copies set a GM call's peak memory
+    if edge.all():
+        cols, counts = col_idx, np.diff(row_ptr)
+    else:
+        cols = col_idx[edge]
+        counts = np.bincount(_entry_rows(row_ptr)[edge], minlength=n)
+    heads = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[heads]
+    f = grand = np.arange(n, dtype=row_ptr.dtype)
+    while True:
+        near = grand.copy()
+        if heads.size:
+            near[heads] = np.minimum(near[heads],
+                                     np.minimum.reduceat(grand[cols], starts))
+        parent, f = f, near.copy()
+        np.minimum.at(f, parent, near)
+        grand, old = f[f], grand
+        if np.array_equal(grand, old):
+            return grand
+
+
 def pencil_kernels(g):
     """Kernel bases ``(of Lsym+, of Qsym-)``, as :class:`KernelBasis`.
 
     These are the eigenvectors of the :func:`shifted_pair` with eigenvalues
-    ``eps1`` and ``eps2`` (see the module docstring).  Every bipartite
-    component of ``W-`` comes from one connected-components pass over its
-    double cover, the graph on ``2n`` vertices with edges ``(u, v + n)`` and
-    ``(u + n, v)``: a component is bipartite exactly when ``u`` and ``u + n``
-    land in different components, and which of the two holds ``u`` gives its
-    side.
+    ``eps1`` and ``eps2`` (see the module docstring).  The components of
+    ``W+`` and every bipartite component of ``W-`` come from
+    :func:`_components`, the latter over ``W-``'s double cover, the graph on
+    ``2n`` vertices with edges ``(u, v + n)`` and ``(u + n, v)``: a component
+    is bipartite exactly when ``u`` and ``u + n`` get different labels, and
+    which of the two labels is smaller gives ``u``'s side.
     """
-    # imported here, as the explicit-matrix methods never need it: after
-    # `import siglap`, csgraph adds 10.2 MB of resident memory, 9.0 MB of it
-    # for the scipy.sparse.linalg it loads
-    from scipy.sparse.csgraph import connected_components
-
     n = g.n
-    plus = g.w_plus.to_scipy()
-    plus.eliminate_zeros()
-    kernel_a = _kernel_basis(connected_components(plus, directed=False)[1], 1.0,
-                             g.w_plus.row_sums())
+    plus = g.w_plus
+    kernel_a = _kernel_basis(_components(plus.row_ptr, plus.col_idx, plus.values),
+                             1.0, plus.row_sums())
 
     # W-'s CSR arrays twice over: row u holds W-'s row u shifted to columns
     # n..2n-1, row u + n holds it unshifted
@@ -255,15 +285,13 @@ def pencil_kernels(g):
     idx = np.int32 if 2 * max(n, minus.nnz) <= np.iinfo(np.int32).max else np.int64
     ptr = minus.row_ptr.astype(idx, copy=False)
     cols = minus.col_idx.astype(idx, copy=False)
-    cover = sp.csr_array((np.tile(minus.values, 2), np.concatenate([cols + n, cols]),
-                          np.concatenate([ptr, ptr[1:] + minus.nnz])),
-                         shape=(2 * n, 2 * n))
-    cover.eliminate_zeros()
-    lab = connected_components(cover, directed=False)[1]
+    # only whether an entry is zero matters, so the cover's values are bools
+    lab = _components(np.concatenate([ptr, ptr[1:] + minus.nnz]),
+                      np.concatenate([cols + n, cols]),
+                      np.tile(minus.values != 0.0, 2))
     lo, hi = lab[:n], lab[n:]
     kernel_b = _kernel_basis(np.where(lo != hi, np.minimum(lo, hi), -1),
-                             np.where(lo < hi, 1.0, -1.0),
-                             g.w_minus.row_sums())
+                             np.where(lo < hi, 1.0, -1.0), minus.row_sums())
     return kernel_a, kernel_b
 
 

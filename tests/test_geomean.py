@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import siglap
 from siglap import (ConvergenceError, IndefiniteOperatorError, KernelBasis,
@@ -650,6 +652,29 @@ def pcg_iterations(monkeypatch):
     return counts
 
 
+def csgraph_kernel_bases(g):
+    """Dense orthonormal kernel bases ``(of Lsym+, of Qsym-)`` from scipy's
+    csgraph, one column per component of ``W+`` and per bipartite component
+    of ``W-``, the latter read off ``W-``'s double cover."""
+    n = g.n
+    w_minus = g.w_minus.to_scipy()
+    plus = connected_components(g.w_plus.to_scipy(), directed=False)[1]
+    cover = connected_components(sp.block_array([[None, w_minus], [w_minus, None]]),
+                                 directed=False)[1]
+    lo, hi = cover[:n], cover[n:]
+    pairs = {(min(a, b), max(a, b)) for a, b in zip(lo, hi) if a != b}
+    supports = ([(plus == c).astype(float) for c in np.unique(plus)],
+                [np.where(lo == a, 1.0, 0.0) - np.where(lo == b, 1.0, 0.0)
+                 for a, b in sorted(pairs)])
+    bases = []
+    for w, cols in zip((g.w_plus, g.w_minus), supports):
+        d = w.row_sums()
+        z = (np.array(cols).reshape(len(cols), n).T
+             * np.sqrt(np.where(d > 0.0, d, 1.0))[:, None])
+        bases.append(z / np.linalg.norm(z, axis=0))
+    return bases
+
+
 class TestPencilKernels:
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_kernels_are_orthonormal_eigenvectors(self, case):
@@ -666,6 +691,14 @@ class TestPencilKernels:
             z = dense_basis(kernel)
             assert np.abs(z.T @ z - np.eye(count)).max(initial=0.0) <= 1e-12
             assert np.abs(m.to_scipy() @ z - eps * z).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_kernels_match_csgraph_components(self, case):
+        g = KERNEL_CASES[case][0]()
+        for kernel, oracle in zip(pencil_kernels(g), csgraph_kernel_bases(g)):
+            z = dense_basis(kernel)
+            assert z.shape == oracle.shape
+            assert np.abs(z @ z.T - oracle @ oracle.T).max(initial=0.0) <= 1e-12
 
     def test_empty_minus_solves_b_without_cg(self, pcg_iterations):
         g = empty_minus()
@@ -846,15 +879,19 @@ class TestMatrixEigensolver:
 
 class TestCostGuards:
     def test_import_leaves_sparse_linalg_unloaded(self):
-        # scipy.sparse.linalg adds about 10 MB of resident memory; only GM's
-        # kernels import it (through csgraph), inside the call
+        # scipy.sparse.linalg adds about 10 MB of resident memory, and
+        # scipy.sparse.csgraph loads it; neither the import nor a GM call,
+        # kernels included, needs them
         src = os.path.dirname(os.path.dirname(siglap.__file__))
         code = ("import sys, siglap; "
-                "print('scipy.sparse.linalg' in sys.modules)")
+                "g = siglap.two_cluster_benchmark_graph(40, 12, 3)[0]; "
+                "siglap.spectral_cluster(g, 2, 'GM'); "
+                "print(sorted({'scipy.sparse.csgraph', 'scipy.sparse.linalg'}"
+                " & set(sys.modules)))")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_two_cluster_takes_few_inverse_applications(self, monkeypatch):
         # Lanczos (ncv = 2k + 1) converges both pairs within one basis, and a

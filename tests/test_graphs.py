@@ -2,12 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from siglap import (EdgeListParseError, ShiftConfig, SignedGraph,
                     SparseSymMatrix, degrees, dense_sym_eig, laplacian,
                     load_edge_list, shifted_pair, signed_laplacian,
                     signless_laplacian)
-from siglap.graphs import SIGNED_KINDS
+from siglap.graphs import SIGNED_KINDS, _components
 from siglap.sbm import SbmParams, sample, two_cluster_benchmark_graph
 
 
@@ -327,3 +329,52 @@ class TestExactSymmetry:
         for m in operators(g):
             # outside input: the constructor checks symmetry bit for bit
             SparseSymMatrix(m.to_scipy())
+
+
+def oracle_components(m):
+    """Each vertex's smallest component member, from scipy's csgraph."""
+    m = m.copy()
+    m.eliminate_zeros()
+    labels = connected_components(m, directed=False)[1]
+    smallest = np.full(labels.max(initial=-1) + 1, m.shape[0])
+    np.minimum.at(smallest, labels, np.arange(m.shape[0]))
+    return smallest[labels]
+
+
+def components(m):
+    return _components(m.indptr.astype(np.int32), m.indices.astype(np.int32),
+                       m.data)
+
+
+class TestComponents:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_graphs_with_isolated_vertices_and_stored_zeros(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 80))
+        # two vertices, at random places, get no edge
+        i, j = rng.permutation(n)[2:][rng.integers(0, n - 2, size=(2, 2 * n))]
+        # both orientations of each edge; weights 0 are stored zeros, which
+        # are no edges
+        w = rng.integers(0, 3, size=i.size).astype(float)
+        m = sp.coo_array((np.tile(w, 2), (np.r_[i, j], np.r_[j, i])),
+                         shape=(n, n)).tocsr()
+        m.sort_indices()
+        assert np.any(m.data == 0.0)
+        labels = components(m)
+        assert labels.dtype == np.int32
+        np.testing.assert_array_equal(labels, oracle_components(m))
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_empty_graph(self, n):
+        m = sp.csr_array((n, n))
+        np.testing.assert_array_equal(components(m), np.arange(n))
+
+    def test_long_path(self):
+        # a path visiting 5000 vertices in random order, one component
+        n = 5000
+        order = np.random.default_rng(5).permutation(n)
+        upper = sp.coo_array((np.ones(n - 1), (order[:-1], order[1:])),
+                             shape=(n, n))
+        m = sp.csr_array(upper + upper.T)
+        m.sort_indices()
+        np.testing.assert_array_equal(components(m), np.zeros(n))

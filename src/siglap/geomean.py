@@ -268,13 +268,13 @@ def eksm_apply_inv_sqrt(pencil, y, tol=DEFAULT_EKSM_TOL):
     chain) or ``A`` (the ``M`` chain).  The solves made before two
     approximants exist, ``y``'s and the first step's, run at ``tol`` too,
     but never below ``TOL_FLOOR``.  A chain vector only widens the subspace,
-    and the approximant is exact within whatever subspace it gets, so once
-    successive approximants differ by ``delta`` the next solves run at
-    ``max(tol, TOL_FLOOR, min(sqrt(tol), tol / delta))``: looser the more
-    the approximants have settled (Simoncini & Szyld, SISC 25(2), 2003).
-    On n = 80 two-cluster graphs that cut the CG iterations of a GM call
-    from 312 to 260.  ``tol = 0`` turns off the first two rules only, and solves at
-    ``TOL_FLOOR`` throughout.
+    and the approximant is projected onto whatever subspace it gets with
+    exact products, so once successive approximants differ by ``delta`` the
+    next solves run at ``max(tol, TOL_FLOOR, min(sqrt(tol), tol / delta))``:
+    looser the more the approximants have settled (Simoncini & Szyld, SISC
+    25(2), 2003).  On n = 80 two-cluster graphs that cut the CG iterations
+    of a GM call from 312 to 260.  ``tol = 0`` turns off the first two rules
+    only, and solves at ``TOL_FLOOR`` throughout.
 
     The basis, ``A`` times it and ``B`` times it share one ``3 x cap x n``
     buffer, whose capacity starts at ``BASIS_CAPACITY`` and doubles (up to

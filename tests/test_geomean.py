@@ -839,7 +839,6 @@ class TestGmNearDegenerate:
             if relaxed:
                 assert_residual_estimates_cover(pairs, dense)
 
-
     @pytest.mark.parametrize("seed", range(3))
     def test_relaxed_chain_solves_converge_on_a_block_model(self, seed):
         # loosening the first Krylov chain solves, or Lanczos' applications

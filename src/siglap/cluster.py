@@ -55,18 +55,37 @@ class KmeansResult:
     inertia: float
 
 
-def _plus_plus_seed(points, k, rng):
+def _plus_plus_seeds(points, k, rngs):
+    """k-means++ centers for each generator of ``rngs``, as an ``r x k x d``
+    array.
+
+    Each restart draws from its own generator what a run of its own would:
+    ``integers(n)`` for the first center, then one ``random()`` per center,
+    looked up in the cumulative sum of ``d2 / total`` as
+    ``Generator.choice(n, p=d2 / total)`` does, or, once its distances all
+    vanish, ``integers(n, size=...)`` for the centers left.  The distances,
+    cumulative sums and lookups run for all restarts at once.
+    """
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    centers = np.empty((len(rngs), k, points.shape[1]))
+    centers[:, 0] = points[[rng.integers(n) for rng in rngs]]
+    d2 = np.sum((points - centers[:, :1]) ** 2, axis=2)
+    live = np.arange(len(rngs))  # the restarts still drawing by distance
     for i in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            centers[i:] = points[rng.integers(n, size=k - i)]
+        total = d2.sum(axis=1)
+        keep = total > 0.0
+        for j in live[~keep]:
+            centers[j, i:] = points[rngs[j].integers(n, size=k - i)]
+        live, d2 = live[keep], d2[keep]
+        if live.size == 0:
             break
-        centers[i] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
+        cdf = np.cumsum(d2 / total[keep, None], axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([rngs[j].random() for j in live])
+        # searchsorted(cdf, u, side="right") in each row: cdf is sorted, so
+        # that is the number of its entries at most u
+        centers[live, i] = points[np.count_nonzero(cdf <= u[:, None], axis=1)]
+        d2 = np.minimum(d2, np.sum((points - centers[live, i:i + 1]) ** 2, axis=2))
     return centers
 
 
@@ -135,8 +154,8 @@ def kmeans(points, k, restarts=10, seed=0):
         raise ValueError(f"need at least k={k} points, got {n}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    centers = np.stack([_plus_plus_seed(points, k, np.random.default_rng(child))
-                        for child in as_seed_sequence(seed).spawn(restarts)])
+    centers = _plus_plus_seeds(points, k, [
+        np.random.default_rng(child) for child in as_seed_sequence(seed).spawn(restarts)])
     labels, inertia = _lloyd(points, centers)
     best = int(np.argmin(inertia))
     # copies, so the result does not hold every restart's arrays

@@ -20,6 +20,22 @@ def labels_of(seq, k=None):
     return ClusterLabels(labels=seq, k=k or int(seq.max()) + 1)
 
 
+def plus_plus_seed(points, k, rng):
+    """Reference k-means++ seeding of one restart, by ``Generator.choice``."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[i:] = points[rng.integers(n, size=k - i)]
+            break
+        centers[i] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
+    return centers
+
+
 def sequential_kmeans(points, k, restarts, seed):
     """Reference: the restarts one after another, each center a masked mean.
 
@@ -27,7 +43,7 @@ def sequential_kmeans(points, k, restarts, seed):
     """
     best = None
     for child in np.random.SeedSequence(seed).spawn(restarts):
-        centers = cluster._plus_plus_seed(points, k, np.random.default_rng(child))
+        centers = plus_plus_seed(points, k, np.random.default_rng(child))
         prev = np.inf
         for step in range(cluster.KMEANS_MAX_ITER):
             d2 = (np.sum(points**2, axis=1)[:, None]
@@ -90,6 +106,25 @@ KMEANS_DIGESTS = {
 
 
 class TestKmeans:
+    @pytest.mark.parametrize("case", range(40))
+    def test_batched_seeding_matches_each_restart_drawn_alone(self, case):
+        # random sizes and scales; every fourth case holds fewer distinct
+        # points than k, so some restarts fall back to uniform draws
+        rng = np.random.default_rng(case)
+        n, d = int(rng.integers(1, 120)), int(rng.integers(1, 12))
+        k = int(rng.integers(1, min(n, 8) + 1))
+        if case % 4 == 0:
+            distinct = rng.standard_normal((max(1, k - 1), d))
+            points = distinct[rng.integers(distinct.shape[0], size=n)]
+        else:
+            points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 7)
+        children = np.random.SeedSequence(case).spawn(int(rng.integers(1, 12)))
+        batched = cluster._plus_plus_seeds(
+            points, k, [np.random.default_rng(child) for child in children])
+        alone = [plus_plus_seed(points, k, np.random.default_rng(child))
+                 for child in children]
+        np.testing.assert_array_equal(batched, np.stack(alone))
+
     @pytest.mark.parametrize("name, points, k, restarts, seed", kmeans_cases(),
                              ids=[case[0] for case in kmeans_cases()])
     def test_batched_restarts_reproduce_pinned_digests(self, name, points, k,

@@ -206,9 +206,8 @@ def _neighbor_graph(data, k_neigh, farthest):
     cols = np.argsort(key, axis=1, kind="stable")[:, :k_neigh].ravel()
     rows = np.repeat(np.arange(n), k_neigh)
     adj = sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
-    sym = adj + adj.T  # union symmetrization
-    sym.data[:] = 1.0
-    return SparseSymMatrix(sym)
+    sym = adj + adj.T  # union symmetrization: symmetric by construction
+    return SparseSymMatrix._canonical(sym.indptr, sym.indices, np.ones(sym.nnz))
 
 
 def knn_pos_graph(data, k_plus):

@@ -1,25 +1,97 @@
 """Symmetric sparse matrices in compressed-sparse-row form.
 
-A :class:`SparseSymMatrix` stores both triangles of a symmetric matrix so
-that matrix-vector products are branch-free row sums.  Construction always
-canonicalizes (sorted column indices, duplicates summed).  Outside input
-(a scipy matrix or a dense array) is verified to be exactly symmetric, both
-structurally and numerically; edge lists and graph operators are symmetric by
-construction, so they skip the check.  Everything downstream may rely on it.
+A :class:`SparseSymMatrix` stores both triangles of a symmetric matrix as
+three canonical CSR arrays (column indices sorted within each row, no
+duplicates), so that matrix-vector products are branch-free row sums.  Each
+array is exactly as long as its content: a view into a longer buffer, such as
+the ones scipy's sums over-allocate, is copied to its own length.  Outside
+input (a scipy matrix or a dense array) is canonicalized by scipy and
+verified to be exactly symmetric, both structurally and numerically.  Edge
+lists, neighbor graphs and graph operators are symmetric by construction and
+hand their canonical arrays to the private ``SparseSymMatrix._canonical``,
+which checks nothing.  Everything downstream may rely on symmetry.
 
 Row pointers and column indices are stored as int32 whenever the order and
 the number of stored entries fit (below ``2**31``), whatever index type the
 input had: an entry then takes 12 bytes instead of 16, and a product reads
-less memory.  :meth:`SparseSymMatrix.matvec` calls scipy's compiled CSR
-kernel (``csr_matvec`` in ``scipy.sparse._sparsetools``) directly.  That is
-the kernel ``csr @ x`` ends in, so the result has the same bits; the call
-only skips the Python dispatch around it, which costs more than the
-arithmetic at a few hundred vertices.
+less memory.
+
+The scipy boundary: a matrix holds no scipy object.  ``to_dense``,
+``to_scipy`` and the symmetry check wrap the arrays in a ``csr_array`` when
+called (a wrapper, not a copy).  The other operations call scipy's compiled
+kernels (``scipy.sparse._sparsetools``) on the arrays directly: the kernels
+scipy's own methods end in, so the results have scipy's bits, without the
+Python dispatch around them, which costs more than the arithmetic at a few
+hundred vertices.  :meth:`SparseSymMatrix.matvec` calls ``csr_matvec``
+(``csr @ x``), :meth:`SparseSymMatrix.diagonal_vector` ``csr_diagonal``, and
+:func:`add_canonical` ``csr_plus_csr`` / ``csr_minus_csr``, scipy's
+linear-time sum of two canonical matrices, which drops the entries that come
+out zero.  :meth:`SparseSymMatrix.row_sums` is the ``np.add.reduceat`` over
+non-empty rows that ``csr.sum(axis=1)`` runs.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
+
+
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _index_dtype(n, nnz):
+    return np.int32 if max(n, nnz) <= _INT32_MAX else np.int64
+
+
+def _exact(a):
+    # a view keeps its whole base buffer alive, so a view into a longer one
+    # gets its own copy
+    return a.copy() if a.base is not None and a.base.nbytes > a.nbytes else a
+
+
+def diagonal_arrays(d):
+    """Canonical CSR arrays ``(row_ptr, col_idx, values)`` of ``diag(d)``,
+    without its zero entries."""
+    d = np.asarray(d, dtype=np.float64)
+    on = d != 0.0
+    idx = _index_dtype(d.size, d.size)
+    ptr = np.zeros(d.size + 1, idx)
+    np.cumsum(on, dtype=idx, out=ptr[1:])
+    return ptr, np.flatnonzero(on).astype(idx), d[on]
+
+
+def add_canonical(n, a, b, subtract=False):
+    """``A + B``, or ``A - B``, of two ``n x n`` matrices given as canonical
+    CSR arrays ``(row_ptr, col_idx, values)``, as canonical CSR arrays.
+
+    This is scipy's sum of the two matrices, bit for bit: an entry of one
+    operand alone is kept as it is, two entries that meet are added (or
+    subtracted) once, and an entry that comes out zero is dropped.
+    """
+    nnz = a[2].size + b[2].size
+    idx = _index_dtype(n, nnz)
+    ptr = np.empty(n + 1, idx)
+    cols = np.empty(nnz, idx)
+    vals = np.empty(nnz)
+    kernel = _sparsetools.csr_minus_csr if subtract else _sparsetools.csr_plus_csr
+    kernel(n, n, a[0].astype(idx, copy=False), a[1].astype(idx, copy=False), a[2],
+           b[0].astype(idx, copy=False), b[1].astype(idx, copy=False), b[2],
+           ptr, cols, vals)
+    end = int(ptr[-1])
+    if end < nnz:
+        cols, vals = cols[:end], vals[:end]
+    return ptr, cols, vals
+
+
+def pair_products(s, row_ptr, col_idx):
+    """``s_i * s_j`` for each stored entry ``(i, j)`` of the CSR arrays.
+
+    ``s_i`` is repeated over row ``i`` and then scaled in place by ``s_j`` in
+    scipy's column-scaling kernel, so the only array of the entries' length
+    is the result.
+    """
+    p = np.repeat(s, np.diff(row_ptr))
+    _sparsetools.csr_scale_columns(s.size, s.size, row_ptr, col_idx, p, s)
+    return p
 
 
 class SparseSymMatrix:
@@ -34,29 +106,43 @@ class SparseSymMatrix:
         arrays are int32 whenever they fit.
     """
 
-    __slots__ = ("_csr", "_arrays", "n")
+    __slots__ = ("_arrays", "n")
 
-    def __init__(self, csr, _skip_checks=False):
+    def __init__(self, csr):
         if not sp.issparse(csr):
             raise TypeError("expected a scipy sparse matrix")
-        csr = sp.csr_array(csr, dtype=np.float64)
+        csr = sp.csr_array(csr, dtype=np.float64, copy=True)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
         csr.sum_duplicates()
-        csr.sort_indices()
-        if max(csr.nnz, csr.shape[0]) <= np.iinfo(np.int32).max:
-            csr.indptr = csr.indptr.astype(np.int32, copy=False)
-            csr.indices = csr.indices.astype(np.int32, copy=False)
-        self._csr = csr
-        # the kernel's arguments, looked up once: scipy's attribute access
-        # costs a fifth of a product at n = 80
-        self._arrays = (csr.indptr, csr.indices, csr.data)
-        self.n = csr.shape[0]
-        if not _skip_checks:
-            self._check_symmetry()
+        self._set(csr.indptr, csr.indices, csr.data)
+        self._check_symmetry()
+
+    def _set(self, row_ptr, col_idx, values):
+        n = row_ptr.size - 1
+        idx = _index_dtype(n, values.size)
+        # the kernel's arguments, in the order it takes them
+        self._arrays = (_exact(row_ptr.astype(idx, copy=False)),
+                        _exact(col_idx.astype(idx, copy=False)),
+                        _exact(np.asarray(values, dtype=np.float64)))
+        self.n = n
+
+    @classmethod
+    def _canonical(cls, row_ptr, col_idx, values):
+        """Wrap the canonical CSR arrays of a matrix that is symmetric by
+        construction, unchecked."""
+        self = cls.__new__(cls)
+        self._set(row_ptr, col_idx, values)
+        return self
+
+    def _scipy(self):
+        # a scipy wrapper of the arrays, built per call and never kept
+        ptr, idx, values = self._arrays
+        return sp.csr_array((values, idx, ptr), shape=(self.n, self.n))
 
     def _check_symmetry(self):
-        diff = (self._csr - self._csr.T.tocsr()).tocoo()
+        m = self._scipy()
+        diff = (m - m.T.tocsr()).tocoo()
         if diff.nnz and np.any(diff.data != 0.0):
             i = int(np.argmax(diff.data != 0.0))
             raise ValueError(
@@ -88,7 +174,8 @@ class SparseSymMatrix:
         upper = sp.coo_array(
             (w, (np.minimum(i, j), np.maximum(i, j))), shape=(n, n)
         ).tocsr()
-        return cls(upper + upper.T, _skip_checks=True)
+        sym = upper + upper.T
+        return cls._canonical(sym.indptr, sym.indices, sym.data)
 
     @classmethod
     def from_dense(cls, a):
@@ -97,30 +184,29 @@ class SparseSymMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(sp.identity(n, format="csr"), _skip_checks=True)
+        return cls.diagonal(np.ones(n))
 
     @classmethod
     def diagonal(cls, d):
-        d = np.asarray(d, dtype=np.float64)
-        return cls(sp.diags_array(d, format="csr"), _skip_checks=True)
+        return cls._canonical(*diagonal_arrays(d))
 
     # -- CSR views -------------------------------------------------------
 
     @property
     def row_ptr(self):
-        return self._csr.indptr
+        return self._arrays[0]
 
     @property
     def col_idx(self):
-        return self._csr.indices
+        return self._arrays[1]
 
     @property
     def values(self):
-        return self._csr.data
+        return self._arrays[2]
 
     @property
     def nnz(self):
-        return self._csr.nnz
+        return self._arrays[2].size
 
     # -- algebra ---------------------------------------------------------
 
@@ -137,13 +223,23 @@ class SparseSymMatrix:
     def add_diagonal(self, shift):
         """Return ``M + diag(shift)``; ``shift`` may be a scalar or a vector."""
         shift = np.broadcast_to(np.asarray(shift, dtype=np.float64), (self.n,))
-        return SparseSymMatrix(self._csr + sp.diags_array(shift), _skip_checks=True)
+        return SparseSymMatrix._canonical(
+            *add_canonical(self.n, self._arrays, diagonal_arrays(shift)))
 
     def diagonal_vector(self):
-        return self._csr.diagonal()
+        d = np.empty(self.n)
+        # the kernel behind scipy's csr.diagonal()
+        _sparsetools.csr_diagonal(0, self.n, self.n, *self._arrays, d)
+        return d
 
     def row_sums(self):
-        return np.asarray(self._csr.sum(axis=1)).ravel()
+        """Row sums, with the bits of scipy's ``csr.sum(axis=1)``."""
+        ptr, _, values = self._arrays
+        sums = np.zeros(self.n)
+        rows = np.flatnonzero(np.diff(ptr))
+        if rows.size:
+            sums[rows] = np.add.reduceat(values, ptr[rows])
+        return sums
 
     def abs_row_sums(self):
         """Row sums of absolute entries, by the product kernel; their
@@ -159,10 +255,10 @@ class SparseSymMatrix:
         return self.abs_row_sums() - np.abs(self.diagonal_vector())
 
     def to_dense(self):
-        return self._csr.toarray()
+        return self._scipy().toarray()
 
     def to_scipy(self):
-        return self._csr.copy()
+        return self._scipy().copy()
 
     def __repr__(self):
         return f"SparseSymMatrix(n={self.n}, nnz={self.nnz})"

@@ -15,10 +15,16 @@ kind    operator
 ``AM``  arithmetic mean of normalizations  ``Lsym+ + Qsym-``
 ======  ==============================================================
 
-Each operator, like the :func:`shifted_pair` pair, is assembled in one pass
-over the weights' CSR arrays, with each entry scaled by the one product
-``s_i * s_j`` (so exactly symmetric).  Degree-zero vertices get a zero row in
-every normalized operator (their ``D^-1/2`` entry is defined as 0).
+Each operator, like the :func:`shifted_pair` pair, is spliced straight into
+canonical CSR arrays, with no COO array and no scipy object on the way.  The
+diagonal and then each term ``sign * W``, taken from ``W``'s own canonical
+arrays (its entries first scaled by ``s_i * s_j`` where the formula scales
+inside), are merged by :func:`siglap.csr.add_canonical`, scipy's linear-time
+canonical sum: it needs no sort and drops the entries that come out zero, as
+the scipy sums the formula spells out would.  The outer scaling then
+multiplies each entry by the one product ``s_i * s_j``, so the result is
+exactly symmetric and is wrapped unchecked.  Degree-zero vertices get a zero
+row in every normalized operator (their ``D^-1/2`` entry is defined as 0).
 
 :func:`pencil_kernels` gives the kernels of the two normalized operators in
 closed form: ``Lsym+`` vanishes on ``D+^1/2 1_C`` for each connected component
@@ -33,9 +39,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
-from .csr import SparseSymMatrix
+from .csr import SparseSymMatrix, add_canonical, diagonal_arrays, pair_products
 from .errors import EdgeListParseError
 
 SIGNED_KINDS = ("BR", "BN", "SR", "SN", "AM")
@@ -110,28 +115,24 @@ def _assemble(diag, terms, scale=None):
     """``S (diag(diag) + sum_k sign_k S_k W_k S_k) S``, where ``terms`` holds
     ``(W_k, sign_k, s_k)`` and ``S_k = diag(s_k)``; ``None`` stands for ``I``.
 
-    Entries that cancel are dropped before ``S`` applies, as scipy's sums drop
-    them, so each operator has the bits of the chain of sums it spells out.
+    The diagonal and then each term are merged by :func:`add_canonical`, so
+    entries that cancel are dropped before ``S`` applies, as scipy's sums drop
+    them, and each operator has the bits of the chain of sums it spells out.
     """
     n = diag.size
-    # filled in place, int32 whenever W is: these arrays set the peak
-    ends = np.cumsum([n] + [w.nnz for w, _, _ in terms])
-    idx = np.result_type(*(w.col_idx.dtype for w, _, _ in terms))
-    rows, cols = np.empty(ends[-1], idx), np.empty(ends[-1], idx)
-    vals = np.empty(ends[-1])
-    rows[:n] = cols[:n] = np.arange(n)
-    vals[:n] = diag
-    for (w, sign, s), start, end in zip(terms, ends, ends[1:]):
-        rows[start:end], cols[start:end] = _entry_rows(w.row_ptr), w.col_idx
-        np.multiply(w.values, sign, out=vals[start:end])
+    arrays = diagonal_arrays(diag)
+    for w, sign, s in terms:
+        vals = w.values
         if s is not None:
-            vals[start:end] *= s[rows[start:end]] * s[cols[start:end]]
-    m = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-    del rows, cols, vals
-    m.eliminate_zeros()
+            vals = pair_products(s, w.row_ptr, w.col_idx)
+            vals *= w.values
+        # a negative sign subtracts: d - x is d + (-1 * x), bit for bit
+        arrays = add_canonical(n, arrays, (w.row_ptr, w.col_idx, vals),
+                               subtract=sign < 0.0)
+    ptr, cols, vals = arrays
     if scale is not None:
-        m.data *= scale[_entry_rows(m.indptr)] * scale[m.indices]
-    return SparseSymMatrix(m, _skip_checks=True)
+        vals *= pair_products(scale, ptr, cols)
+    return SparseSymMatrix._canonical(ptr, cols, vals)
 
 
 def laplacian(w, normalized=False):
@@ -295,20 +296,14 @@ def pencil_kernels(g):
     return kernel_a, kernel_b
 
 
-def load_edge_list(path):
-    """Read a signed graph from a text edge list.
+_EDGE_COLUMNS = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
-    Each non-comment line is ``i j w`` with 0-based vertex indices and a
-    finite weight; positive weights go to the positive graph, negative ones
-    (by magnitude) to the negative graph.  Duplicate undirected edges are
-    summed; self loops are dropped (a single warning reports how many).  The
-    vertex count is one more than the largest index of an edge that is not a
-    self loop.
-    """
-    pos = ([], [], [])
-    neg = ([], [], [])
-    max_idx = -1
-    dropped = 0
+
+def _scan_edge_lines(path):
+    # the line-by-line reader: slow, but it names the first bad line, and it
+    # parses as Python does (underscores in numbers, Unicode digits, lone
+    # carriage returns), which numpy's reader rejects
+    edges = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -328,22 +323,51 @@ def load_edge_list(path):
                 raise EdgeListParseError(f"non-finite weight {parts[2]!r}", line_no)
             if i < 0 or j < 0:
                 raise EdgeListParseError("negative vertex index", line_no)
-            if i == j:
-                dropped += 1
-                continue
-            max_idx = max(max_idx, i, j)
-            if w == 0.0:
-                continue
-            target = pos if w > 0.0 else neg
-            target[0].append(i)
-            target[1].append(j)
-            target[2].append(abs(w))
+            edges.append((i, j, w))
+    return np.array(edges, dtype=_EDGE_COLUMNS, ndmin=1)
+
+
+def _read_edge_columns(path):
+    """The edge list's three columns, from one numpy parse; a file that parse
+    rejects, or whose arrays fail a check, is re-read by the line scanner,
+    which raises :class:`EdgeListParseError` at the first bad line."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file, or an index numpy would read through a float
+            # (older numpy warns), goes to the line scanner too
+            warnings.simplefilter("error")
+            edges = np.loadtxt(path, dtype=_EDGE_COLUMNS, comments="#",
+                               ndmin=1, encoding="utf-8")
+    except (ValueError, Warning):
+        return _scan_edge_lines(path)
+    if not (np.isfinite(edges["w"]).all() and (edges["i"] >= 0).all()
+            and (edges["j"] >= 0).all()):
+        return _scan_edge_lines(path)
+    return edges
+
+
+def load_edge_list(path):
+    """Read a signed graph from a text edge list.
+
+    Each non-comment line is ``i j w`` with 0-based vertex indices and a
+    finite weight; positive weights go to the positive graph, negative ones
+    (by magnitude) to the negative graph.  Duplicate undirected edges are
+    summed, in file order; self loops are dropped (a single warning reports
+    how many).  The vertex count is one more than the largest index of an
+    edge that is not a self loop.
+    """
+    edges = _read_edge_columns(path)
+    i, j, w = edges["i"], edges["j"], edges["w"]
+    loops = i == j
+    dropped = int(np.count_nonzero(loops))
     if dropped:
         warnings.warn(f"dropped {dropped} self loop(s) from {path}", stacklevel=2)
-    n = max_idx + 1
+        i, j, w = i[~loops], j[~loops], w[~loops]
+    n = int(max(i.max(initial=-1), j.max(initial=-1))) + 1
     if n == 0:
         raise ValueError("edge list is empty")
+    pos, neg = w > 0.0, w < 0.0
     return SignedGraph(
-        w_plus=SparseSymMatrix.from_undirected_edges(n, *pos),
-        w_minus=SparseSymMatrix.from_undirected_edges(n, *neg),
+        w_plus=SparseSymMatrix.from_undirected_edges(n, i[pos], j[pos], w[pos]),
+        w_minus=SparseSymMatrix.from_undirected_edges(n, i[neg], j[neg], -w[neg]),
     )

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from siglap import ShiftConfig, SparseSymMatrix, shifted_pair
+from siglap import (ShiftConfig, SparseSymMatrix, kfn_neg_graph, knn_pos_graph,
+                    load_edge_list, shifted_pair)
+from siglap.csr import add_canonical, pair_products
 from siglap.graphs import SIGNED_KINDS, signed_laplacian
 from siglap.sbm import two_cluster_benchmark_graph
 
@@ -22,6 +24,16 @@ class TestConstruction:
         asym = sp.csr_array(([1.0], ([0], [1])), shape=(2, 2))
         with pytest.raises(ValueError, match="not exactly symmetric"):
             SparseSymMatrix(asym)
+
+    def test_outside_input_is_copied(self):
+        # neither sorted in place nor shared: the caller's later writes do
+        # not reach the (immutable) matrix
+        m = sp.csr_array((np.array([2.0, 1.0, 2.0]), np.array([1, 0, 0]),
+                          np.array([0, 2, 3])), shape=(2, 2))
+        s = SparseSymMatrix(m)
+        assert np.array_equal(m.indices, [1, 0, 0])
+        m.data[:] = 7.0
+        assert np.array_equal(s.to_dense(), [[1.0, 2.0], [2.0, 0.0]])
 
     def test_undirected_edges_sum_duplicates(self):
         m = SparseSymMatrix.from_undirected_edges(2, [0, 0], [1, 1], [1.0, 0.5])
@@ -99,6 +111,89 @@ class TestIndexDtype:
                                       a.to_dense())
 
 
+def blobs(sizes=(16, 32, 48, 64), dim=10, seed=0):
+    """Four separated Gaussian blobs of unequal size, as in the kNN workload."""
+    truth = np.repeat(np.arange(len(sizes)), sizes)
+    centers = 4.0 * np.eye(len(sizes), dim)
+    return centers[truth] + np.random.default_rng(seed).standard_normal((truth.size, dim))
+
+
+def edge_list_graph(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1 1.0\n1 2 -2.0\n0 2 0.5\n2 3 1.0\n")
+    g = load_edge_list(path)
+    return {"edge list +": g.w_plus, "edge list -": g.w_minus}
+
+
+class TestExactLength:
+    """Every array holds its entries and nothing more: a view into a longer
+    buffer (scipy's sums over-allocate theirs) would keep that buffer alive
+    as long as the matrix."""
+
+    @staticmethod
+    def assert_exact(m):
+        assert m.values.nbytes == 8 * m.nnz
+        assert m.row_ptr.size == m.n + 1 and m.col_idx.size == m.nnz
+        for a in (m.row_ptr, m.col_idx, m.values):
+            assert a.base is None or a.base.nbytes <= a.nbytes
+
+    @pytest.mark.parametrize("m", by_name({**construction_routes(), **graph_operators()}))
+    def test_constructed_and_assembled(self, m):
+        self.assert_exact(m)
+
+    @pytest.mark.parametrize("build", [knn_pos_graph, kfn_neg_graph])
+    def test_neighbor_graphs(self, build):
+        # on these points the union symmetrization keeps over half of
+        # scipy's buffer, which scipy then leaves in place
+        self.assert_exact(build(blobs(), 10))
+
+    def test_edge_list(self, tmp_path):
+        for m in edge_list_graph(tmp_path).values():
+            self.assert_exact(m)
+
+
+def scipy_triple(m):
+    return m.indptr, m.indices, m.data
+
+
+class TestCanonicalAdd:
+    @pytest.mark.parametrize("subtract", [False, True])
+    @pytest.mark.parametrize("idx", [np.int32, np.int64])
+    def test_matches_scipy_sum(self, subtract, idx):
+        # weights on a coarse grid, so many pairs cancel exactly; stored
+        # zeros too, which the sum drops
+        rng = np.random.default_rng(3)
+        n = 40
+
+        def grid_matrix():
+            m = 500
+            i, j = rng.integers(0, n, size=(2, m))
+            w = rng.integers(-2, 3, size=m) / 4.0
+            csr = sp.coo_array((w, (i, j)), shape=(n, n)).tocsr()
+            csr.sum_duplicates()
+            return csr
+
+        a, b = grid_matrix(), grid_matrix()
+        assert np.any(a.data == 0.0)
+        expect = a - b if subtract else a + b
+        arrays = [tuple(x.astype(idx) if x.dtype.kind == "i" else x for x in scipy_triple(m))
+                  for m in (a, b)]
+        ptr, cols, vals = add_canonical(n, *arrays, subtract=subtract)
+        # int32 whenever the sum fits, whatever the operands had
+        assert ptr.dtype == cols.dtype == np.int32
+        assert np.array_equal(ptr, expect.indptr)
+        assert np.array_equal(cols, expect.indices)
+        assert np.array_equal(vals, expect.data)
+        assert np.all(vals != 0.0)
+
+    def test_pair_products(self):
+        m = random_sym(30, 0.3, np.random.default_rng(4))
+        s = np.random.default_rng(5).uniform(0.1, 2.0, m.n)
+        rows = np.repeat(np.arange(m.n), np.diff(m.row_ptr))
+        assert np.array_equal(pair_products(s, m.row_ptr, m.col_idx),
+                              s[rows] * s[m.col_idx])
+
+
 class TestSpmv:
     @pytest.mark.parametrize("m", by_name(graph_operators()))
     def test_matches_scipy_bit_for_bit(self, m):
@@ -152,6 +247,22 @@ class TestAlgebra:
         np.testing.assert_array_equal(
             a.add_diagonal([1.0, 2.0]).diagonal_vector(), [2.0, 3.0]
         )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_row_sums_have_scipy_bits(self, seed):
+        # the sum of a row depends on its order of addition: scipy's is a
+        # reduceat over the row's entries
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        m = random_sym(n, float(rng.uniform(0.05, 0.5)), rng)
+        expect = np.asarray(m.to_scipy().sum(axis=1)).ravel()
+        assert np.array_equal(m.row_sums(), expect)
+
+    def test_row_sums_of_empty_rows(self):
+        m = SparseSymMatrix.from_undirected_edges(4, [1], [2], [0.5])
+        assert np.array_equal(m.row_sums(), [0.0, 0.5, 0.5, 0.0])
+        assert np.array_equal(SparseSymMatrix.from_undirected_edges(3, [], [], []).row_sums(),
+                              np.zeros(3))
 
     def test_row_sums_and_gershgorin(self):
         a = SparseSymMatrix.from_dense([[2.0, -1.0], [-1.0, 3.0]])

@@ -669,7 +669,7 @@ def csgraph_kernel_bases(g):
     n = g.n
     w_minus = g.w_minus.to_scipy()
     plus = connected_components(g.w_plus.to_scipy(), directed=False)[1]
-    cover = connected_components(sp.block_array([[None, w_minus], [w_minus, None]]),
+    cover = connected_components(sp.bmat([[None, w_minus], [w_minus, None]]),
                                  directed=False)[1]
     lo, hi = cover[:n], cover[n:]
     pairs = {(min(a, b), max(a, b)) for a, b in zip(lo, hi) if a != b}

@@ -9,7 +9,8 @@ from siglap import (EdgeListParseError, ShiftConfig, SignedGraph,
                     SparseSymMatrix, degrees, dense_sym_eig, laplacian,
                     load_edge_list, shifted_pair, signed_laplacian,
                     signless_laplacian)
-from siglap.graphs import SIGNED_KINDS, _components
+from siglap.graphs import (SIGNED_KINDS, _components, _inv_sqrt_degrees,
+                           _read_edge_columns, _scan_edge_lines)
 from siglap.sbm import SbmParams, sample, two_cluster_benchmark_graph
 
 
@@ -281,6 +282,48 @@ class TestEdgeList:
         with pytest.raises(EdgeListParseError, match="negative"):
             load_edge_list(self.write(tmp_path, "-1 0 1.0\n"))
 
+    def test_index_written_as_float_reports_line(self, tmp_path):
+        # numpy's reader rejects it (older numpy only warns); the line
+        # scanner names the line
+        path = self.write(tmp_path, "0 1 1.0\n1.0 2 1.0\n")
+        with pytest.raises(EdgeListParseError, match="line 2"):
+            load_edge_list(path)
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_no_edges(self, tmp_path, text):
+        with pytest.raises(ValueError, match="empty"):
+            load_edge_list(self.write(tmp_path, text))
+
+    def test_python_number_syntax_is_read_by_the_line_scanner(self, tmp_path):
+        # underscores and lone carriage returns: numpy's reader rejects
+        # them, Python's int() and float() and its line splitting do not
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"1_0 2 1.5\r0 1 -2_0.5\r")
+        g = load_edge_list(path)
+        assert g.n == 11
+        assert g.w_plus.to_dense()[2, 10] == 1.5
+        assert g.w_minus.to_dense()[0, 1] == 20.5
+
+    def test_numpy_read_matches_line_scanner(self, tmp_path):
+        rng = np.random.default_rng(8)
+        i, j = rng.integers(0, 40, size=(2, 2000))
+        w = np.round(rng.normal(size=2000), 3)
+        w[::17] = 0.0
+        lines = [f"{a} {b} {float(c)!r}  # edge {k}"
+                 for k, (a, b, c) in enumerate(zip(i, j, w))]
+        path = self.write(tmp_path, "# header\n\n" + "\n".join(lines) + "\n")
+        fast, scanned = _read_edge_columns(path), _scan_edge_lines(path)
+        assert fast.dtype == scanned.dtype
+        for name in ("i", "j", "w"):
+            assert np.array_equal(fast[name], scanned[name])
+        with pytest.warns(UserWarning, match="self loop"):
+            g = load_edge_list(path)
+        keep = i != j
+        expect = SparseSymMatrix.from_undirected_edges(
+            int(max(i[keep].max(), j[keep].max())) + 1,
+            i[keep & (w > 0)], j[keep & (w > 0)], w[keep & (w > 0)])
+        assert np.array_equal(g.w_plus.to_dense(), expect.to_dense())
+
 
 def operators(g):
     """Every operator built from ``g``, in a fixed order."""
@@ -329,6 +372,150 @@ class TestExactSymmetry:
         for m in operators(g):
             # outside input: the constructor checks symmetry bit for bit
             SparseSymMatrix(m.to_scipy())
+
+
+def scipy_row_sums(w):
+    return np.asarray(w.to_scipy().sum(axis=1)).ravel()
+
+
+def coo_recipe(diag, terms, scale=None):
+    """``S (diag(diag) + sum_k sign_k S_k W_k S_k) S`` the long way: every
+    entry listed in COO, summed by ``tocsr``, zeros eliminated, then scaled."""
+    n = diag.size
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [diag]
+    for w, sign, s in terms:
+        m = w.to_scipy().tocoo()
+        v = m.data * sign
+        if s is not None:
+            v *= s[m.row] * s[m.col]
+        rows.append(m.row)
+        cols.append(m.col)
+        vals.append(v)
+    m = sp.coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                     shape=(n, n)).tocsr()
+    m.eliminate_zeros()
+    if scale is not None:
+        m.data *= scale[np.repeat(np.arange(n), np.diff(m.indptr))] * scale[m.indices]
+    return m
+
+
+def recipes(g):
+    """Each operator of ``operators(g)`` as ``(name, built, coo_recipe(...))``."""
+    d_plus, d_minus = scipy_row_sums(g.w_plus), scipy_row_sums(g.w_minus)
+    d_bar = d_plus + d_minus
+    s_plus, s_minus, s_bar = (_inv_sqrt_degrees(d) for d in (d_plus, d_minus, d_bar))
+    both = [(g.w_plus, -1.0, None), (g.w_minus, 1.0, None)]
+    shift = ShiftConfig()
+    a, b = shifted_pair(g, shift)
+    out = [
+        ("SR", signed_laplacian(g, "SR"), coo_recipe(d_bar, both)),
+        ("SN", signed_laplacian(g, "SN"), coo_recipe(d_bar, both, s_bar)),
+        ("BR", signed_laplacian(g, "BR"), coo_recipe(d_plus, both)),
+        ("BN", signed_laplacian(g, "BN"), coo_recipe(d_plus, both, s_bar)),
+        ("AM", signed_laplacian(g, "AM"),
+         coo_recipe(d_plus * s_plus**2 + d_minus * s_minus**2,
+                    [(g.w_plus, -1.0, s_plus), (g.w_minus, 1.0, s_minus)])),
+        ("GM A", a, coo_recipe(d_plus * s_plus**2 + shift.eps1, [(g.w_plus, -1.0, s_plus)])),
+        ("GM B", b, coo_recipe(d_minus * s_minus**2 + shift.eps2, [(g.w_minus, 1.0, s_minus)])),
+    ]
+    for name, w, d, s in (("+", g.w_plus, d_plus, s_plus), ("-", g.w_minus, d_minus, s_minus)):
+        for sign, build in ((-1.0, laplacian), (1.0, signless_laplacian)):
+            out.append((f"{build.__name__}({name})", build(w), coo_recipe(d, [(w, sign, None)])))
+            out.append((f"{build.__name__}({name}, normalized)", build(w, normalized=True),
+                        coo_recipe(d, [(w, sign, None)], s)))
+    return out
+
+
+def stored(n, i, j, w, int64=False):
+    """A weight matrix from outside input, which keeps stored zeros."""
+    m = sp.coo_array((np.r_[w, w], (np.r_[i, j], np.r_[j, i])), shape=(n, n)).tocsr()
+    m.sum_duplicates()
+    if int64:
+        m = sp.csr_array((m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)),
+                         shape=m.shape)
+    return SparseSymMatrix(m)
+
+
+def stored_zeros_graph(int64=False):
+    rng = np.random.default_rng(11)
+    n, m = 40, 300
+    parts = []
+    for _ in range(2):
+        i, j = rng.integers(0, n, size=(2, m))
+        keep = i < j
+        w = rng.uniform(0.1, 2.0, size=m)[keep]
+        w[rng.random(w.size) < 0.3] = 0.0
+        parts.append(stored(n, i[keep], j[keep], w, int64))
+    return SignedGraph(*parts)
+
+
+def isolated_graph():
+    # vertices 0-4 have no edge at all, vertices 5-9 none of one sign
+    g = random_signed(30, seed=12, density=0.2)
+
+    def from_vertex(w, first):
+        on = np.arange(w.n) >= first
+        return SparseSymMatrix.from_dense(w.to_dense() * on[:, None] * on)
+
+    return SignedGraph(from_vertex(g.w_plus, 5), from_vertex(g.w_minus, 10))
+
+
+def cancelling_graph():
+    # equal weights of both signs on the same pairs: SR and BR cancel them
+    rng = np.random.default_rng(13)
+    n = 30
+    i, j = rng.integers(0, n, size=(2, 200))
+    keep = i < j
+    i, j = i[keep], j[keep]
+    w = rng.integers(1, 4, size=i.size) / 2.0
+    extra = rng.random(i.size) < 0.5
+    return SignedGraph(SparseSymMatrix.from_undirected_edges(n, i, j, w),
+                       SparseSymMatrix.from_undirected_edges(n, i[extra], j[extra], w[extra]))
+
+
+EDGE_CASES = {
+    "stored zeros": stored_zeros_graph,
+    "isolated vertices": isolated_graph,
+    "cancelling pairs": cancelling_graph,
+    "int64 input": lambda: stored_zeros_graph(int64=True),
+    "empty W-": lambda: SignedGraph(random_signed(30, seed=14).w_plus, empty(30)),
+    "weighted": lambda: random_signed(60, seed=7, density=0.3),
+}
+
+
+class TestAssemblyMatchesCooRecipe:
+    """Operators against the COO recipe the spliced assembly replaced, bit
+    for bit and dtype for dtype, on inputs the pinned digests do not cover."""
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_every_operator(self, case):
+        g = EDGE_CASES[case]()
+        for name, built, expect in recipes(g):
+            assert built.row_ptr.dtype == built.col_idx.dtype == np.int32, name
+            assert built.values.dtype == np.float64, name
+            assert np.array_equal(built.row_ptr, expect.indptr), name
+            assert np.array_equal(built.col_idx, expect.indices), name
+            assert np.array_equal(built.values, expect.data), name
+
+    def test_cases_have_what_they_are_named_for(self):
+        g = stored_zeros_graph()
+        assert np.any(g.w_plus.values == 0.0) and np.any(g.w_minus.values == 0.0)
+        # int64 input is stored with int32 indices, as every other input
+        assert stored_zeros_graph(int64=True).w_plus.col_idx.dtype == np.int32
+        g = isolated_graph()
+        assert np.all(g.w_plus.row_sums()[:5] == 0.0)
+        assert np.all(laplacian(g.w_plus).row_ptr[1:6] == 0)  # zero diagonal dropped
+        g = cancelling_graph()
+        assert signed_laplacian(g, "SR").nnz < (laplacian(g.w_plus).nnz
+                                                + g.w_minus.nnz)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_degrees_have_scipy_bits(self, seed):
+        g = random_signed(int(np.random.default_rng(seed).integers(5, 90)), seed,
+                          density=0.3)
+        d = degrees(g)
+        assert np.array_equal(d.d_plus, scipy_row_sums(g.w_plus))
+        assert np.array_equal(d.d_minus, scipy_row_sums(g.w_minus))
 
 
 def oracle_components(m):

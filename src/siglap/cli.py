@@ -11,15 +11,16 @@ Subcommands
 ``bench``        timing of the smallest-eigenvector computation on
                  two-perfect-cluster graphs of growing size, through the
                  same method-to-operator map as ``cluster``
-                 (:func:`siglap.cluster.smallest_eigenpairs`) but with strict
-                 convergence; a cell that runs out of memory or fails
+                 (:func:`siglap.cluster.smallest_eigenpairs`) but at its own
+                 tolerance; a cell that runs out of memory or fails
                  numerically gets an ``NA`` row.
 
 Each subcommand takes only the options it reads: ``--out`` everywhere;
 ``--seed``, ``--shift-eps1`` and ``--shift-eps2`` wherever eigenvectors are
 computed (all but ``sbm-region``); ``--kmeans-restarts`` where they are
 clustered (``sbm-cluster`` and ``cluster``); ``--tol`` in ``bench`` only,
-whose solves converge strictly to it.
+whose solves accept each pair at it, as ``cluster`` does at
+:data:`siglap.cluster.RESID_TOL`.
 
 Every CSV starts with a ``#``-prefixed JSON line holding the full run
 configuration; rerunning with the same configuration reproduces the numeric

@@ -228,44 +228,43 @@ class SpectralClusteringResult:
     method: str
 
 
-# spectral_cluster's tolerance, for a relaxed call.  GM runs Lanczos'
-# applications of the inverse at 1% of it and takes each pair's value and
-# residual estimate from them, with no application of A # B.  The explicit
-# methods accept a vector at a backward error of it even while it still
-# rotates inside a cluster of nearly equal eigenvalues, a wander k-means does
-# not see, which would take thousands of iterations to settle.
+# spectral_cluster's tolerance.  GM runs Lanczos' applications of the
+# inverse at 1% of it and takes each pair's value and residual estimate from
+# them, with no application of A # B.  The explicit methods accept a vector
+# at a backward error of it even while it still rotates inside a cluster of
+# nearly equal eigenvalues, a wander k-means does not see, which would take
+# thousands of iterations to settle.
 RESID_TOL = 1e-4
 
 
 def smallest_eigenpairs(g, k, method, shift=None, tol=DEFAULT_IPM_TOL,
-                        seed=0, relaxed=False):
+                        seed=0):
     """The ``k`` smallest eigenpairs of the operator ``method`` names for ``g``.
 
     ``GM`` is the geometric mean of the shifted normalized pair (``shift``,
     default :class:`ShiftConfig`), solved matrix-free with inner solves
     deflated by the pair's kernels; ``SN``/``BN``/``AM``
-    are explicit matrices (``shift`` is ignored).  A ``relaxed`` call
-    accepts its pairs at ``tol`` and loosens the inner solves to match.
+    are explicit matrices (``shift`` is ignored).  Every pair is accepted
+    at ``tol``, with inner solves at ``INNER_RATIO`` of it (see
+    :mod:`siglap.geomean`).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if method == "GM":
         a, b = shifted_pair(g, shift if shift is not None else ShiftConfig())
         pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
-        return smallest_k_eigenpairs(pencil, k, tol=tol, seed=seed,
-                                     relaxed=relaxed)
+        return smallest_k_eigenpairs(pencil, k, tol=tol, seed=seed)
     return matrix_smallest_k_eigenpairs(
         signed_laplacian(g, method), k, definite=method != "BN", tol=tol,
-        seed=seed, relaxed=relaxed,
-    )
+        seed=seed)
 
 
 def spectral_cluster(g, k, method="GM", shift=None, seed=0, restarts=10):
     """Cluster a signed graph from the k smallest eigenvectors of an operator.
 
     ``method`` selects the operator (see :func:`smallest_eigenpairs`), solved
-    with ``tol=RESID_TOL, relaxed=True``; the embedding rows are then
-    clustered with k-means.
+    with ``tol=RESID_TOL``; the embedding rows are then clustered with
+    k-means.
     """
     if g.n == 0:
         raise ValueError("graph is empty")
@@ -273,7 +272,7 @@ def spectral_cluster(g, k, method="GM", shift=None, seed=0, restarts=10):
         raise ValueError(f"k must be in [2, {g.n}], got {k}")
     eig_seed, km_seed = as_seed_sequence(seed).spawn(2)
     pairs = smallest_eigenpairs(g, k, method, shift=shift, tol=RESID_TOL,
-                                seed=eig_seed, relaxed=True)
+                                seed=eig_seed)
     embedding = np.column_stack([p.vector for p in pairs])
     km = kmeans(embedding, k, restarts=restarts, seed=km_seed)
     return SpectralClusteringResult(

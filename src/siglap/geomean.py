@@ -26,26 +26,23 @@ operands are sparse, so it is never formed.  Instead:
   eigenvectors the kernels miss: where ``W+`` is regular and ``W-`` empty,
   the kernel sum is the first eigenvector and orthogonal to all others.
 
-Every eigensolve takes one tolerance ``tol`` and a ``relaxed`` flag, and
-every solve it makes runs at ``_step_tol(tol, relaxed)``.  A strict call
-stops at ``tol`` and solves at full accuracy, ``_inner_tol(tol)``:
-``INNER_RATIO * tol`` clipped to ``[TOL_FLOOR, DEFAULT_EKSM_TOL]``.  A
-relaxed call accepts its pairs at ``tol`` itself, so it solves only to
-``INNER_RATIO * tol``, never tighter (Golub & Ye, BIT 40(4), 2000;
-Berns-Müller, Graham & Spence, LAA 416, 2006).  On the pencil that is every
-``inv_apply(x, rtol)`` and Lanczos' own stop test; ``rtol`` holds for the
-solve with ``A`` and the Krylov inverse square root.  That method solves
-its first chain vectors at ``rtol`` too and the later ones, which only widen
-its space, at ``rtol / delta`` for the last difference ``delta`` of its
-approximants, up to ``sqrt(rtol)`` (see :func:`eksm_apply_inv_sqrt`).  A
-strict call then measures each pair's value and residual through ``A # B``
-at full accuracy.  A relaxed call takes the value from Lanczos' Ritz value
-and reports an estimate of the residual, built from the Ritz residual
-Lanczos already holds and the step tolerance.  The Ritz value carries the
-applications' error to first order: at a step tolerance of 1e-6 it stayed
-within 6e-7 relative of the dense oracle on every graph measured.  On a
-single matrix ``rtol`` is the CG tolerance, and values and residuals are
-measured exactly, with products.
+Every eigensolve takes one tolerance ``tol``, at which it accepts its
+pairs, and every solve it makes runs at ``_step_tol(tol)``:
+``INNER_RATIO * tol``, never tighter than ``TOL_FLOOR`` (inexact inverse
+iteration, Golub & Ye, BIT 40(4), 2000; Berns-Müller, Graham & Spence,
+LAA 416, 2006).  On the pencil that is every ``inv_apply(x, rtol)`` and
+Lanczos' own stop test; ``rtol`` holds for the solve with ``A`` and the
+Krylov inverse square root.  That method solves its first chain vectors at
+``rtol`` too and the later ones, which only widen its space, at
+``rtol / delta`` for the last difference ``delta`` of its approximants, up
+to ``sqrt(rtol)`` (see :func:`eksm_apply_inv_sqrt`).  Each pair's value is
+Lanczos' Ritz value, and its residual an estimate built from the Ritz
+residual Lanczos already holds and the step tolerance, with no application
+of ``A # B``; :func:`apply_geometric_mean` measures a pair where a caller
+needs it.  The Ritz value carries the applications' error to first order:
+at a step tolerance of 1e-6 it stayed within 6e-7 relative of the dense
+oracle on every graph measured.  On a single matrix ``rtol`` is the CG
+tolerance, and values and residuals are measured exactly, with products.
 
 Every inner system of the pencil is solved exactly on known eigenvectors,
 for a signed graph the kernels of ``Lsym+`` and ``Qsym-`` whose shifts
@@ -80,7 +77,7 @@ DEFAULT_IPM_TOL = 1e-8
 # Lanczos restarts of one eigensolve before a ConvergenceError
 MAX_OUTER = 500
 # steps of one pair's inverse iteration before a ConvergenceError: inside a
-# cluster of relative spread d a relaxed pair needs about ln(d / tol) / d,
+# cluster of relative spread d a pair needs about ln(d / tol) / d,
 # at most 1 / (e tol) = 3.7e3 at tol = 1e-4 (767 at d = 5e-3 on a kNN graph)
 MAX_INVERSE_STEPS = 5000
 # extended Krylov steps of one application before a ConvergenceError
@@ -120,13 +117,13 @@ class PencilOperator:
     so the same code serves any shifts, and an empty basis is plain CG.
     ``tol`` is the relative CG tolerance of each solve.
 
-    ``norm_bound`` is an upper bound on ``||A # B||``, which relaxed
-    eigensolves turn into residual estimates.  ``A # B`` is monotone in each
-    operand, so it is ``sqrt(||A|| ||B||)``, with each norm bounded by the
-    operand's largest absolute row sum.  On two-cluster graphs that reads
-    2.14 at n = 80 and 2.36 at n = 1e4, against the ``2 + eps`` that
-    ``||Lsym+||, ||Qsym-|| <= 2`` give; where ``W-`` is empty it is far
-    below.
+    ``norm_bound`` is an upper bound on ``||A # B||``, which
+    :func:`smallest_k_eigenpairs` turns into residual estimates.  ``A # B``
+    is monotone in each operand, so it is ``sqrt(||A|| ||B||)``, with each
+    norm bounded by the operand's largest absolute row sum.  On two-cluster
+    graphs that reads 2.14 at n = 80 and 2.36 at n = 1e4, against the
+    ``2 + eps`` that ``||Lsym+||, ||Qsym-|| <= 2`` give; where ``W-`` is
+    empty it is far below.
     """
 
     def __init__(self, a, b, kernels=None):
@@ -410,11 +407,9 @@ class EigenPair:
     estimated, never assumed.
 
     For a single matrix, ``value`` and ``residual`` are measured exactly,
-    with a product.  For the pencil under a strict call, they are measured
-    through ``A # B`` at full accuracy.  Under a relaxed call ``value`` is
-    ``1 / theta`` for Lanczos' Ritz value ``theta`` of ``(A # B)^-1``, and
-    ``residual`` is the estimate ``norm_bound (||r|| + e) / theta`` of
-    ``||(A # B) x - value x||``.  Here
+    with a product.  For the pencil, ``value`` is ``1 / theta`` for Lanczos'
+    Ritz value ``theta`` of ``(A # B)^-1``, and ``residual`` is the estimate
+    ``norm_bound (||r|| + e) / theta`` of ``||(A # B) x - value x||``.  Here
     ``r = y - theta x`` is the Ritz residual Lanczos holds for the image
     ``y`` of ``x``; it already holds the asymmetry that application errors
     leave inside the basis.  ``e = step_tol ||y||`` stands for the error
@@ -437,19 +432,19 @@ class EigenPair:
     iterations: int
 
 
-def _inverse_iteration(inv_apply, deflate, tol, seed, relaxed):
+def _inverse_iteration(inv_apply, deflate, tol, seed):
     """Inverse power iteration orthogonal to the Euclidean-orthonormal columns
     of ``deflate``; returns the unit iterate and the number of steps.
 
-    A strict call stops once successive (sign-aligned) iterates differ by at
-    most ``tol``, a relaxed one once the backward error
-    ``||y - (x.y) x|| / ||y||`` of the deflated inverse is at most ``tol``:
-    ``sin phi`` for the angle ``phi`` between ``x`` and its successor, which
-    differ by ``2 sin(phi / 2)``.  Inside a cluster of nearly equal
-    eigenvalues that error falls slowly (see ``MAX_INVERSE_STEPS``); a vector
-    accepted before it fell held eigenvalues up to 1e-1 off.
+    Each step applies ``inv_apply`` at ``_step_tol(tol)``, and the iteration
+    stops once the backward error ``||y - (x.y) x|| / ||y||`` of the
+    deflated inverse is at most ``tol``: ``sin phi`` for the angle ``phi``
+    between ``x`` and its successor ``y / ||y||``, whose sign is aligned
+    with ``x``.  Inside a cluster of nearly equal eigenvalues that error
+    falls slowly (see ``MAX_INVERSE_STEPS``); a vector accepted before it
+    fell held eigenvalues up to 1e-1 off.
     """
-    step_tol = _step_tol(tol, relaxed)
+    step_tol = _step_tol(tol)
 
     x = np.random.default_rng(seed).standard_normal(deflate.shape[0])
     if deflate.shape[1]:
@@ -472,29 +467,23 @@ def _inverse_iteration(inv_apply, deflate, tol, seed, relaxed):
         x_new = y / ny
         if float(x_new @ x) < 0.0:
             x_new = -x_new
-        diff = float(np.linalg.norm(x_new - x))
         x = x_new
-        if (backward if relaxed else diff) <= tol:
+        if backward <= tol:
             return x, k
 
     raise ConvergenceError(
         f"inverse power iteration did not converge in {MAX_INVERSE_STEPS} "
-        f"steps (last step size {diff:.3e}, backward error {backward:.3e})",
+        f"steps (last backward error {backward:.3e})",
         iterate=x,
-        residual=diff,
+        residual=backward,
         iterations=MAX_INVERSE_STEPS,
     )
 
 
-def _inner_tol(tol):
-    return max(TOL_FLOOR, min(DEFAULT_EKSM_TOL, INNER_RATIO * tol))
-
-
-def _step_tol(tol, relaxed):
+def _step_tol(tol):
     # a step of a call that accepts at tol need only be solved to a small
-    # share of it; never tighter than a strict call's steps
-    full = _inner_tol(tol)
-    return max(full, INNER_RATIO * tol) if relaxed else full
+    # share of it
+    return max(TOL_FLOOR, INNER_RATIO * tol)
 
 
 def _check_request(n, k, tol):
@@ -522,14 +511,14 @@ def _project_out(basis, w):
     return w, bool(np.linalg.norm(w) <= BREAKDOWN_RTOL * nw)
 
 
-def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, relaxed,
-                      norm_bound, start=None):
-    """The ``k`` smallest eigenpairs of ``apply``, the largest of its inverse
-    ``inv_apply``, by thick-restart Lanczos (Wu & Simon, SIMAX 22(2), 2000).
+def _lanczos_smallest(inv_apply, n, k, tol, seed, start=None):
+    """The ``k`` largest Ritz pairs of ``inv_apply``, an inexactly applied
+    symmetric operator, by thick-restart Lanczos (Wu & Simon, SIMAX 22(2),
+    2000).
 
     The basis ``V`` (orthonormal rows, fully reorthogonalized) and its
-    images ``Y = inv_apply(V)`` at ``step_tol = _step_tol(tol, relaxed)``
-    are kept side by side, ``ncv = min(n, 2k + 1)`` rows each.  After every
+    images ``Y = inv_apply(V)`` at ``step_tol = _step_tol(tol)`` are kept
+    side by side, ``ncv = min(n, 2k + 1)`` rows each.  After every
     application the Ritz pairs ``(theta, x = V' c)`` of ``sym(V Y')`` give
     each pair's residual ``r = Y' c - theta x`` without a product.  The run
     stops once the part of ``r`` outside the basis, the Lanczos residual, is
@@ -546,17 +535,16 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, relaxed,
     component along every eigenvector, also where ``start`` is orthogonal to
     all sought eigenvectors but one.
 
-    Strict calls measure each pair through ``apply`` at ``step_tol``, there
-    full accuracy.  Relaxed calls return ``1 / theta`` and the estimate
-    ``norm_bound (||r|| + e) / theta`` of ``||apply(x) - x / theta||``, with
-    ``e = step_tol ||Y' c||`` for the application error of ``Y' c`` (see
-    :class:`EigenPair`).  Each pair's ``iterations`` is the call's number of
-    applications.  ``MAX_OUTER`` restarts without convergence raise
+    Returns ``(theta, x, r_norm, yc_norm, applications)``: the ``k`` largest
+    Ritz values in descending order, their vectors as rows, the norms
+    ``||r||`` and ``||Y' c||`` of each, and the number of applications.
+    What they mean for the operator ``inv_apply`` inverts is the caller's
+    to say.  ``MAX_OUTER`` restarts without convergence raise
     :class:`ConvergenceError` with the Ritz vectors, as columns, as
     ``iterate``; errors of ``inv_apply`` pass through.
     """
     _check_request(n, k, tol)
-    step_tol = _step_tol(tol, relaxed)
+    step_tol = _step_tol(tol)
     rng = np.random.default_rng(as_seed_sequence(seed))
     ncv = min(n, 2 * k + 1)
     basis = np.empty((ncv, n))
@@ -574,8 +562,7 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, relaxed,
         if m >= k:
             h = basis[:m] @ images[:m].T
             ritz, c = np.linalg.eigh(0.5 * (h + h.T))
-            # Ritz pairs of the inverse in descending order; the first k are
-            # the smallest pairs sought, the smallest first
+            # Ritz pairs in descending order; the first k are the ones sought
             theta, c = ritz[::-1][:k], c[:, ::-1]
             x, yc = c[:, :k].T @ basis[:m], c[:, :k].T @ images[:m]
             r = yc - theta[:, None] * x
@@ -600,50 +587,44 @@ def _lanczos_smallest(inv_apply, apply, n, k, tol, seed, relaxed,
             restarts += 1
         while invariant:
             w, invariant = _project_out(basis[:m], rng.standard_normal(n))
-    if not relaxed:
-        return [_measured_pair(v, apply(v, step_tol), applications) for v in x]
-    resid = np.linalg.norm(r, axis=1) + step_tol * np.linalg.norm(yc, axis=1)
-    bound = norm_bound * resid / theta
-    return [EigenPair(value=float(1.0 / t), vector=v, residual=float(b),
-                      iterations=applications)
-            for t, v, b in zip(theta, x, bound)]
+    return (theta, x, np.linalg.norm(r, axis=1), np.linalg.norm(yc, axis=1),
+            applications)
 
 
-def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL, seed=0,
-                          relaxed=False):
+def smallest_k_eigenpairs(pencil, k, tol=DEFAULT_IPM_TOL, seed=0):
     """The ``k`` smallest eigenpairs of ``A # B``, by Lanczos on its inverse.
 
     ``(A # B)^-1`` is a solve with ``A``, then the Krylov inverse square
-    root; ``MAX_OUTER`` caps Lanczos restarts and ``relaxed`` loosens
-    every inner solve.  A strict call measures values and residuals through
-    ``A # B`` matrix-free; a relaxed one takes them from Lanczos, with
-    ``pencil.norm_bound`` (see :class:`EigenPair`).
+    root; ``MAX_OUTER`` caps Lanczos restarts.  Each pair is ``1 / theta``
+    for a Ritz value ``theta`` of the inverse, with the residual estimate
+    ``pencil.norm_bound (||r|| + step_tol ||Y' c||) / theta`` (see
+    :class:`EigenPair`), smallest first.
 
     Lanczos starts from the sum of the pencil's kernel bases, each scaled to
     unit norm, plus a little of the seeded Gaussian (see
     :func:`_lanczos_smallest`).  On those kernels ``A # B`` has eigenvalues
     of order ``sqrt(eps)``, and for a signed graph the smallest eigenvectors
     lie near them, so a random start spends its first applications finding
-    them again: on n = 80 two-cluster graphs a relaxed call takes 4
-    applications from this start and 5 from a random one.
+    them again: on n = 80 two-cluster graphs a call at ``tol = 1e-4`` takes
+    4 applications from this start and 5 from a random one.
     """
     def inv_apply(x, rtol):
         return eksm_apply_inv_sqrt(pencil, pencil.solve_a(x, rtol), tol=rtol).x
-
-    def apply(x, rtol):
-        return apply_geometric_mean(pencil, x, tol=rtol)
 
     # each basis's entries are the sum of its unit vectors, which have
     # disjoint supports
     bases = [kernel.entries / np.linalg.norm(kernel.entries)
              for kernel in (pencil.kernel_a, pencil.kernel_b) if kernel.count]
-    return _lanczos_smallest(inv_apply, apply, pencil.n, k, tol, seed,
-                             relaxed, pencil.norm_bound,
-                             start=sum(bases) if bases else None)
+    theta, x, r_norm, yc_norm, applications = _lanczos_smallest(
+        inv_apply, pencil.n, k, tol, seed, start=sum(bases) if bases else None)
+    bound = pencil.norm_bound * (r_norm + _step_tol(tol) * yc_norm) / theta
+    return [EigenPair(value=float(1.0 / t), vector=v, residual=float(b),
+                      iterations=applications)
+            for t, v, b in zip(theta, x, bound)]
 
 
 def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
-                                 seed=0, relaxed=False):
+                                 seed=0):
     """The ``k`` smallest eigenpairs of one sparse symmetric matrix.
 
     Sequential deflated inverse iteration on ``m + sigma I`` with IC(0)
@@ -651,9 +632,8 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     ``seed``.  ``definite=True`` asserts ``m`` is positive semidefinite and
     uses ``sigma = MATRIX_SHIFT``; otherwise a Gershgorin bound raises the
     shift until the iteration matrix is SPD.  Values and residuals refer to
-    ``m`` itself, measured exactly with ``m.matvec``; ``relaxed`` accepts
-    each vector at a backward error of ``tol`` (see
-    :func:`_inverse_iteration`).
+    ``m`` itself, measured exactly with ``m.matvec``; each vector is
+    accepted at a backward error of ``tol`` (see :func:`_inverse_iteration`).
     """
     _check_request(m.n, k, tol)
     sigma = MATRIX_SHIFT
@@ -669,7 +649,7 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     basis = np.empty((m.n, 0))
     pairs = []
     for child in as_seed_sequence(seed).spawn(k):
-        x, iters = _inverse_iteration(inv_apply, basis, tol, child, relaxed)
+        x, iters = _inverse_iteration(inv_apply, basis, tol, child)
         basis = np.column_stack([basis, x])
         pairs.append(_measured_pair(x, m.matvec(x), iters))
     if np.any(np.diff([p.value for p in pairs]) < -1e-8):

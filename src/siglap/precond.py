@@ -14,7 +14,6 @@ unpreconditioned (see :mod:`siglap.geomean`).
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def _ic0_factor(n, lp, lj, lx):
@@ -82,26 +81,18 @@ class IcPreconditioner:
 
     __slots__ = ("kind", "n", "_lp", "_lj", "_lx", "_inv_diag")
 
-    def __init__(self, kind, n, lower_csr=None, inv_diag=None):
+    def __init__(self, kind, n, lower=None, inv_diag=None):
         self.kind = kind
         self.n = n
         if kind == "ic0":
-            self._lp = lower_csr.indptr
-            self._lj = lower_csr.indices
-            self._lx = lower_csr.data
+            # the factor's CSR arrays (row_ptr, col_idx, values)
+            self._lp, self._lj, self._lx = lower
             self._inv_diag = None
         elif kind == "diagonal":
             self._lp = self._lj = self._lx = None
             self._inv_diag = inv_diag
         else:
             raise ValueError(f"unknown preconditioner kind {kind!r}")
-
-    @property
-    def lower(self):
-        """The lower-triangular factor as a scipy CSR array (IC(0) kind only)."""
-        if self.kind != "ic0":
-            return sp.diags_array(1.0 / np.sqrt(self._inv_diag), format="csr")
-        return sp.csr_array((self._lx, self._lj, self._lp), shape=(self.n, self.n))
 
     def solve(self, r):
         """Return ``P^{-1} r``."""
@@ -135,11 +126,13 @@ def incomplete_cholesky(m):
     diag = m.diagonal_vector()
     if diag.size == 0 or np.any(diag <= 0.0):
         return jacobi(m)
-    lower = sp.tril(m.to_scipy(), format="csr")
-    lower.sort_indices()
-    lx = lower.data.copy()
-    ok = _ic0_factor(m.n, lower.indptr, lower.indices, lx)
-    if not ok:
+    # the lower triangle of the canonical arrays: each row's columns are
+    # sorted, so its kept entries end with the diagonal
+    rows = np.repeat(np.arange(m.n, dtype=m.row_ptr.dtype), np.diff(m.row_ptr))
+    keep = m.col_idx <= rows
+    lp = np.zeros_like(m.row_ptr)
+    np.cumsum(np.bincount(rows[keep], minlength=m.n), out=lp[1:])
+    lj, lx = m.col_idx[keep], m.values[keep]
+    if not _ic0_factor(m.n, lp, lj, lx):
         return jacobi(m)
-    factored = sp.csr_array((lx, lower.indices, lower.indptr), shape=lower.shape)
-    return IcPreconditioner("ic0", m.n, lower_csr=factored)
+    return IcPreconditioner("ic0", m.n, lower=(lp, lj, lx))

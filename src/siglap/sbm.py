@@ -176,12 +176,6 @@ class OperatorSpectrum:
     chi_values: np.ndarray
     bulk: float
 
-    @property
-    def ordering_margin(self):
-        """``bulk - max(chi_values)``: positive iff the indicators occupy the
-        bottom of the spectrum, with this gap."""
-        return float(self.bulk - np.max(self.chi_values))
-
 
 @dataclass(frozen=True)
 class ExpectedSpectrum:

@@ -314,9 +314,9 @@ def two_clique_graph(m=8):
     )
 
 
-# graphs, and their cluster counts, for spectral_cluster's relaxed mode;
+# graphs, and their cluster counts, for spectral_cluster at RESID_TOL;
 # "stalled-k3-1" holds a cluster of nearly equal eigenvalues
-RELAXED_CASES = {
+RESID_TOL_CASES = {
     "two-cluster-0": lambda: (two_cluster_benchmark_graph(80, 50, 0)[0], 2),
     "two-cluster-1": lambda: (two_cluster_benchmark_graph(80, 50, 1)[0], 2),
     "noisy-k2-0": lambda: (sample(SbmParams(2, 40, 0.3, 0.1, 0.1, 0.3), 0), 2),
@@ -363,14 +363,14 @@ class TestSpectralCluster:
         g, _ = two_clique_graph(6)
         for pair in spectral_cluster(g, 2, method="SN", seed=3).eigenpairs:
             assert pair.residual <= 1e-6
-        # a relaxed GM pair's vector meets the same cap against the dense
+        # a GM pair's vector meets the same cap against the dense
         # mean.  It reports the estimate norm_bound (||r|| + e) / theta,
         # where e = step ||Y c|| is about step theta and norm_bound is
         # 2 + eps on these cliques, so about (2 + eps) step once Lanczos'
         # own residual r is small
         a, b = shifted_pair(g, ShiftConfig())
         dense = dense_geometric_mean(a.to_dense(), b.to_dense())
-        step = geomean._step_tol(RESID_TOL, True)
+        step = geomean._step_tol(RESID_TOL)
         for pair in spectral_cluster(g, 2, method="GM", seed=3).eigenpairs:
             gx = dense @ pair.vector
             assert np.linalg.norm(gx - (pair.vector @ gx) * pair.vector) <= 1e-6
@@ -383,22 +383,22 @@ class TestSpectralCluster:
             res = spectral_cluster(g, 2, method=method, seed=seed)
             eig_seed, _ = np.random.SeedSequence(seed).spawn(2)
             pairs = smallest_eigenpairs(g, 2, method, tol=RESID_TOL,
-                                        seed=eig_seed, relaxed=True)
+                                        seed=eig_seed)
             np.testing.assert_array_equal(
                 np.column_stack([p.vector for p in pairs]), res.embedding)
 
-    @pytest.mark.parametrize("case", RELAXED_CASES)
-    def test_relaxed_acceptance_holds_at_full_accuracy(self, case):
-        # Lanczos applies (A # B)^-1 inexactly, to INNER_RATIO * RESID_TOL
-        # in the relaxed mode, and stops at that tolerance.  Every pair must
-        # still be an eigenvector of the deflated (A # B)^-1 to within ten
-        # times it, measured at full accuracy (the worst case, the third
-        # pair of "stalled-k3-1", is at 1e-6).
-        g, k = RELAXED_CASES[case]()
+    @pytest.mark.parametrize("case", RESID_TOL_CASES)
+    def test_acceptance_holds_at_full_accuracy(self, case):
+        # Lanczos applies (A # B)^-1 inexactly, to INNER_RATIO * RESID_TOL,
+        # and stops at that tolerance.  Every pair must still be an
+        # eigenvector of the deflated (A # B)^-1 to within ten times it,
+        # measured at full accuracy, that of a call at 1e-8 (the worst case,
+        # the third pair of "stalled-k3-1", is at 1e-6).
+        g, k = RESID_TOL_CASES[case]()
         res = spectral_cluster(g, k, "GM")
         a, b = shifted_pair(g, ShiftConfig())
-        full = geomean._inner_tol(geomean.DEFAULT_IPM_TOL)
-        step = geomean._step_tol(RESID_TOL, True)
+        full = geomean._step_tol(geomean.DEFAULT_IPM_TOL)
+        step = geomean._step_tol(RESID_TOL)
         pencil = PencilOperator(a, b, kernels=pencil_kernels(g))
         deflate = np.empty((g.n, 0))
         for pair in res.eigenpairs:
@@ -409,13 +409,13 @@ class TestSpectralCluster:
             assert backward <= 10.0 * step
             deflate = np.column_stack([deflate, x])
 
-    @pytest.mark.parametrize("case", RELAXED_CASES)
+    @pytest.mark.parametrize("case", RESID_TOL_CASES)
     def test_gm_values_and_residuals_match_dense_oracle(self, case):
-        # a relaxed call takes each value and residual from Lanczos' own
+        # a call takes each value and residual from Lanczos' own
         # images, found at the step tolerance; the values must still match
         # the oracle's, and each reported residual, a bound, must not
         # understate the dense residual of the vector returned
-        g, k = RELAXED_CASES[case]()
+        g, k = RESID_TOL_CASES[case]()
         res = spectral_cluster(g, k, "GM")
         a, b = shifted_pair(g, ShiftConfig())
         dense = dense_geometric_mean(a.to_dense(), b.to_dense())

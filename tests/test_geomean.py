@@ -22,8 +22,8 @@ from siglap.graphs import (SignedGraph, laplacian, pencil_kernels,
 from siglap.sbm import (SbmParams, conditions, expected_graph, indicator_basis,
                         sample, two_cluster_benchmark_graph)
 
-# (tol, relaxed) of a strict call and of spectral_cluster's relaxed one
-SOLVE_MODES = [(1e-8, False), (RESID_TOL, True)]
+# the tolerances of a `siglap bench` call and of spectral_cluster
+SOLVE_MODES = [1e-8, RESID_TOL]
 
 
 def sbm_graph(n_half, seed, **kw):
@@ -408,12 +408,13 @@ class TestIpm:
         assert subspace_angle(pair.vector[:, None], v[:, :1]) <= 1e-4
 
     def test_residual_is_small_and_measured(self):
+        # the reported residual is an estimate; a caller measures it through
+        # A # B, here at 1e-13
         pencil = sbm_pencil(25, seed=2)
         pair = smallest_k_eigenpairs(pencil, 1, tol=1e-9)[0]
-        gm = dense_geometric_mean(*dense_pair(pencil))
-        true_resid = np.linalg.norm(gm @ pair.vector - pair.value * pair.vector)
-        assert pair.residual <= 1e-7
-        assert pair.residual == pytest.approx(true_resid, rel=1e-2, abs=1e-9)
+        gx = apply_geometric_mean(pencil, pair.vector, tol=1e-13)
+        measured = np.linalg.norm(gx - pair.value * pair.vector)
+        assert measured <= pair.residual <= 1e-7
 
 
 class TestSmallestK:
@@ -500,9 +501,8 @@ class TestSmallestK:
     ], ids=["pencil", "matrix"])
     def test_tol_validation(self, solve, tol):
         pencil = sbm_pencil(10, seed=1)
-        for relaxed in (False, True):
-            with pytest.raises(ValueError, match="tol"):
-                solve(pencil, 1, tol=tol, relaxed=relaxed)
+        with pytest.raises(ValueError, match="tol"):
+            solve(pencil, 1, tol=tol)
 
     def test_every_pair_when_k_is_n(self):
         # k = n fills the basis with n applications; Lanczos stops there,
@@ -533,7 +533,7 @@ class TestSmallestK:
                                 SparseSymMatrix.identity(6))
         first, again, other = (
             np.column_stack([p.vector for p in smallest_k_eigenpairs(
-                pencil, 2, tol=RESID_TOL, seed=seed, relaxed=True)])
+                pencil, 2, tol=RESID_TOL, seed=seed)])
             for seed in (3, 3, 4))
         np.testing.assert_array_equal(first, again)
         assert not np.allclose(np.abs(first), np.abs(other))
@@ -574,29 +574,25 @@ def tolerances(monkeypatch):
 
 
 class TestInexactSteps:
-    @pytest.mark.parametrize("tol, relaxed", SOLVE_MODES,
-                             ids=["strict", "relaxed"])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6, 1e-4])
+    def test_step_tolerance_is_a_share_of_the_tolerance(self, tol):
+        assert geomean._step_tol(tol) == max(geomean.TOL_FLOOR,
+                                             geomean.INNER_RATIO * tol)
+
+    @pytest.mark.parametrize("tol", SOLVE_MODES)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gm_inverse_steps_run_at_the_step_tolerance(
-            self, tolerances, seed, tol, relaxed):
+            self, tolerances, seed, tol):
         g = two_cluster_benchmark_graph(80, 50, seed)[0]
-        pairs = smallest_eigenpairs(g, 2, "GM", tol=tol, seed=seed,
-                                    relaxed=relaxed)
-        full, step = geomean._inner_tol(tol), geomean._step_tol(tol, relaxed)
+        pairs = smallest_eigenpairs(g, 2, "GM", tol=tol, seed=seed)
+        step = geomean._step_tol(tol)
         # Lanczos applies the inverse, a solve with A and a Krylov call,
-        # until every pair has converged.  A strict call then measures each
-        # pair's value and residual with one application of A # B at full
-        # accuracy; a relaxed call takes both from Lanczos' own images
+        # until every pair has converged, and takes each pair's value and
+        # residual from its own images: no Krylov call applies A # B
         applications = pairs[0].iterations
         assert all(p.iterations == applications for p in pairs)
-        inverse_step = [("cg", step), ("eksm", step)]
-        if not relaxed:
-            assert step == full
-            measurement = [("eksm", step)] * len(pairs)
-        else:
-            measurement = []
         assert ([event[:2] for event in tolerances]
-                == inverse_step * applications + measurement)
+                == [("cg", step), ("eksm", step)] * applications)
         # a Krylov call's first solves, the three made before two of its
         # approximants exist, run at the step tolerance; once successive
         # approximants differ by delta, a chain vector is solved at
@@ -607,18 +603,17 @@ class TestInexactSteps:
             assert all(step <= t <= np.sqrt(step) for t in inner)
         assert any(t > step for inner in krylov for t in inner)
 
-    @pytest.mark.parametrize("tol, relaxed", SOLVE_MODES,
-                             ids=["strict", "relaxed"])
+    @pytest.mark.parametrize("tol", SOLVE_MODES)
     def test_explicit_inverse_steps_run_at_the_step_tolerance(
-            self, tolerances, tol, relaxed):
+            self, tolerances, tol):
         # SN's second and third eigenvalues on the two-cluster graphs lie
-        # within 2% of each other, too close for strict convergence
+        # within 2% of each other, too close to converge in few steps
         g = empty_minus()
-        pairs = smallest_eigenpairs(g, 2, "SN", tol=tol, relaxed=relaxed)
+        pairs = smallest_eigenpairs(g, 2, "SN", tol=tol)
         # SN's values and residuals come from products with the matrix, so
         # every solve is an inverse step
         n_steps = sum(p.iterations for p in pairs)
-        step = geomean._step_tol(tol, relaxed)
+        step = geomean._step_tol(tol)
         assert tolerances == [("cg", step, [])] * n_steps
 
 
@@ -739,7 +734,7 @@ class TestPencilKernels:
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_norm_bound_bounds_the_mean(self, case):
-        # relaxed residuals are only bounds if this one is
+        # the residual estimates are only bounds if this one is
         g = KERNEL_CASES[case][0]()
         a, b = shifted_pair(g, ShiftConfig(1e-4, 1e-4))
         gm = dense_geometric_mean(a.to_dense(), b.to_dense())
@@ -775,14 +770,15 @@ def assert_residual_estimates_cover(pairs, dense):
 
 
 def assert_pairs_match_oracle(pairs, dense, value_rtol, value_atol, angle_tol,
-                              relaxed):
+                              residual_bounds):
     """The pairs are the smallest eigenpairs of ``dense``.
 
     Each value is within ``value_rtol * |w| + value_atol`` of its eigenvalue
     ``w`` and the span within ``angle_tol`` of the oracle's eigenspace.
-    Under relaxed acceptance the pairs are only as good as their measured
-    residuals, so the bounds those give also pass: a value within its
-    residual of its eigenvalue, and the Davis-Kahan angle ``||R||_F / gap``.
+    Pairs accepted at a loose tolerance are only as good as their reported
+    residuals, so with ``residual_bounds`` the bounds those give also pass: a
+    value within its residual of its eigenvalue, and the Davis-Kahan angle
+    ``||R||_F / gap``.
     """
     k = len(pairs)
     w, v = dense_sym_eig(dense)
@@ -790,57 +786,52 @@ def assert_pairs_match_oracle(pairs, dense, value_rtol, value_atol, angle_tol,
     resid = np.array([p.residual for p in pairs])
     value_tol = value_rtol * np.abs(w[:k]) + value_atol
     span = np.column_stack([p.vector for p in pairs])
-    if relaxed:
+    if residual_bounds:
         value_tol = np.maximum(value_tol, resid)
         angle_tol = max(angle_tol, np.linalg.norm(resid) / (w[k] - vals.max()))
     assert np.all(np.abs(vals - w[:k]) <= value_tol)
     assert subspace_angle(span, v[:, :k]) <= angle_tol
 
 
-# each hard case under strict convergence and under spectral_cluster's relaxed
-# acceptance
-HARD_CASE_MODES = [pytest.param(case, tol, relaxed, id=case + suffix)
+# each hard case at a bench call's tolerance and at spectral_cluster's
+HARD_CASE_MODES = [pytest.param(case, tol, id=case + suffix)
                    for case in GM_HARD_CASES
-                   for (tol, relaxed), suffix in zip(SOLVE_MODES,
-                                                     ("", "-relaxed"))]
+                   for tol, suffix in zip(SOLVE_MODES, ("", "-resid-tol"))]
 
 
 class TestGmHardCases:
-    @pytest.mark.parametrize("case, tol, relaxed", HARD_CASE_MODES)
-    def test_smallest_pairs_match_dense_oracle(self, case, tol, relaxed):
-        # Lanczos converges every pair whatever the inner accuracy, so the
-        # relaxed mode, which only loosens the inner solves, meets the
-        # strict bounds too
+    @pytest.mark.parametrize("case, tol", HARD_CASE_MODES)
+    def test_smallest_pairs_match_dense_oracle(self, case, tol):
+        # Lanczos converges every pair whatever the inner accuracy, so a
+        # call at RESID_TOL, which only loosens the inner solves, meets the
+        # tight bounds too
         g = GM_HARD_CASES[case]()
         shift = ShiftConfig(1e-4, 1e-4)
-        pairs = smallest_eigenpairs(g, 2, "GM", shift=shift, tol=tol,
-                                    relaxed=relaxed)
+        pairs = smallest_eigenpairs(g, 2, "GM", shift=shift, tol=tol)
         a, b = shifted_pair(g, shift)
         dense = dense_geometric_mean(a.to_dense(), b.to_dense())
-        assert_pairs_match_oracle(pairs, dense, value_rtol=1e-6,
-                                  value_atol=0.0, angle_tol=1e-5, relaxed=False)
-        if relaxed:
-            assert_residual_estimates_cover(pairs, dense)
+        assert_pairs_match_oracle(pairs, dense, value_rtol=1e-6, value_atol=0.0,
+                                  angle_tol=1e-5, residual_bounds=False)
+        assert_residual_estimates_cover(pairs, dense)
 
 
 class TestGmNearDegenerate:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_block_model_pairs_match_dense_oracle(self, k):
         # the k - 1 planted eigenvalues after the first lie within 2-4% of
-        # each other, and the relaxed mode must resolve them as well
+        # each other, and a call at RESID_TOL must resolve them as well
         g = sample(SbmParams(k, ORACLE_CAP // k, 0.3, 0.05, 0.05, 0.3), 1)
         a, b = shifted_pair(g, ShiftConfig())
         dense = dense_geometric_mean(a.to_dense(), b.to_dense())
-        for tol, relaxed in SOLVE_MODES:
-            pairs = smallest_eigenpairs(g, k, "GM", tol=tol, relaxed=relaxed)
+        for tol in SOLVE_MODES:
+            pairs = smallest_eigenpairs(g, k, "GM", tol=tol)
             assert_pairs_match_oracle(pairs, dense, value_rtol=1e-6,
                                       value_atol=0.0, angle_tol=1e-5,
-                                      relaxed=False)
-            if relaxed:
-                assert_residual_estimates_cover(pairs, dense)
+                                      residual_bounds=False)
+            assert_residual_estimates_cover(pairs, dense)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_relaxed_chain_solves_converge_on_a_block_model(self, seed):
+    def test_loose_chain_solves_converge_on_a_block_model(self, seed):
         # loosening the first Krylov chain solves, or Lanczos' applications
         # as its pairs converge, raised ConvergenceError on these graphs
         g = sample(SbmParams(4, 40, 0.3, 0.05, 0.05, 0.3), seed)
@@ -873,9 +864,9 @@ class TestKernelStart:
     """Lanczos starts from the sum of the pencil's kernel bases plus a
     little of the seeded Gaussian."""
 
-    @pytest.mark.parametrize("tol, relaxed", SOLVE_MODES, ids=["strict", "relaxed"])
+    @pytest.mark.parametrize("tol", SOLVE_MODES)
     @pytest.mark.parametrize("graph_seed", range(4))
-    def test_start_orthogonal_to_the_sought_pairs(self, graph_seed, tol, relaxed):
+    def test_start_orthogonal_to_the_sought_pairs(self, graph_seed, tol):
         # W+ regular and W- empty: both kernel sums are proportional to the
         # all-ones vector, the first eigenvector, and orthogonal to the other
         # two sought, which only the Gaussian part of the start reaches
@@ -887,49 +878,47 @@ class TestKernelStart:
         dense = dense_geometric_mean(a.to_dense(), b.to_dense())
         v = dense_sym_eig(dense)[1]
         assert np.abs(start @ v[:, 1:3]).max() <= 1e-12
-        pairs = smallest_eigenpairs(g, 3, "GM", tol=tol, relaxed=relaxed)
-        # the third and fourth eigenvalues lie 2.4% apart on graph 0, so a
-        # relaxed call's angle is only as good as its residuals give
+        pairs = smallest_eigenpairs(g, 3, "GM", tol=tol)
+        # the third and fourth eigenvalues lie 2.4% apart on graph 0, so the
+        # angle of a call at RESID_TOL is only as good as its residuals give
         assert_pairs_match_oracle(pairs, dense, value_rtol=1e-6, value_atol=0.0,
-                                  angle_tol=1e-5, relaxed=relaxed)
-        if relaxed:
-            assert_residual_estimates_cover(pairs, dense)
+                                  angle_tol=1e-5, residual_bounds=tol == RESID_TOL)
+        assert_residual_estimates_cover(pairs, dense)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "single-vector Lanczos holds one direction of each eigenspace, so a "
-        "relaxed call stops before rounding grows the second of the ring's "
-        "double eigenvalue; a random start misses it too, on seed 0"))
-    def test_ring_double_eigenvalue_relaxed(self):
+        "call at RESID_TOL stops before rounding grows the second of the "
+        "ring's double eigenvalue; a random start misses it too, on seed 0"))
+    def test_ring_double_eigenvalue_at_resid_tol(self):
         g = regular_plus(40)
         a, b = shifted_pair(g, ShiftConfig())
         dense = dense_geometric_mean(a.to_dense(), b.to_dense())
-        pairs = smallest_eigenpairs(g, 3, "GM", tol=RESID_TOL, relaxed=True)
+        pairs = smallest_eigenpairs(g, 3, "GM", tol=RESID_TOL)
         assert_pairs_match_oracle(pairs, dense, value_rtol=1e-6, value_atol=0.0,
-                                  angle_tol=1e-5, relaxed=False)
+                                  angle_tol=1e-5, residual_bounds=False)
 
     @pytest.mark.parametrize("hops", [(1,), (1, 2)], ids=["ring", "circulant"])
-    def test_ring_double_eigenvalue_strict(self, hops):
-        # a strict call runs long enough for the second direction to grow
+    def test_ring_double_eigenvalue_at_tight_tol(self, hops):
+        # a call at 1e-8 runs long enough for the second direction to grow
         g = regular_plus(40, hops)
         a, b = shifted_pair(g, ShiftConfig())
         dense = dense_geometric_mean(a.to_dense(), b.to_dense())
         pairs = smallest_eigenpairs(g, 3, "GM", tol=1e-8)
         assert_pairs_match_oracle(pairs, dense, value_rtol=1e-6, value_atol=0.0,
-                                  angle_tol=1e-5, relaxed=False)
+                                  angle_tol=1e-5, residual_bounds=False)
 
 
 class TestExplicitHardCases:
-    @pytest.mark.parametrize("case, tol, relaxed", HARD_CASE_MODES)
+    @pytest.mark.parametrize("case, tol", HARD_CASE_MODES)
     @pytest.mark.parametrize("method", ["SN", "BN", "AM"])
-    def test_smallest_pairs_match_dense_oracle(self, case, method, tol,
-                                               relaxed):
+    def test_smallest_pairs_match_dense_oracle(self, case, method, tol):
         # SN/BN/AM have exact zero eigenvalues on these graphs, so their
         # values are checked in absolute terms
         g = GM_HARD_CASES[case]()
-        pairs = smallest_eigenpairs(g, 2, method, tol=tol, relaxed=relaxed)
+        pairs = smallest_eigenpairs(g, 2, method, tol=tol)
         assert_pairs_match_oracle(
             pairs, signed_laplacian(g, method).to_dense(), value_rtol=0.0,
-            value_atol=1e-10, angle_tol=1e-5, relaxed=relaxed)
+            value_atol=1e-10, angle_tol=1e-5, residual_bounds=tol == RESID_TOL)
 
 
 class TestMatrixEigensolver:
@@ -950,7 +939,7 @@ class TestMatrixEigensolver:
     def test_matches_dense_eigendecomposition(self):
         pencil = sbm_pencil(30, seed=17)
         m = pencil.a  # any SPD sparse matrix works here
-        # the third pair takes 561 steps of strict inverse iteration
+        # the third pair takes 561 steps of inverse iteration
         pairs = matrix_smallest_k_eigenpairs(m, 3, tol=1e-9)
         w = dense_sym_eig(m.to_dense())[0]
         np.testing.assert_allclose([p.value for p in pairs], w[:3], atol=1e-7)
@@ -982,9 +971,9 @@ class TestCostGuards:
         assert out.stdout.strip() == "[]"
 
     def test_two_cluster_takes_few_inverse_applications(self, monkeypatch):
-        # Lanczos (ncv = 2k + 1) converges both pairs within one basis, and a
-        # relaxed call takes values and residuals from it, so every Krylov
-        # call is one of at most 2k + 1 applications of (A # B)^-1
+        # Lanczos (ncv = 2k + 1) converges both pairs within one basis and
+        # takes values and residuals from it, so every Krylov call is one of
+        # at most 2k + 1 applications of (A # B)^-1
         calls = []
         eksm = geomean.eksm_apply_inv_sqrt
 

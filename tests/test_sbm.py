@@ -332,7 +332,7 @@ class TestOrderingEquivalence:
             cond = conditions(p, shift)
             if spec.operators["SN"] is None or spec.operators["GM_shifted"] is None:
                 continue
-            margin_arith = spec["SN"].ordering_margin
+            margin_arith = spec["SN"].bulk - max(spec["SN"].chi_values)
             margin_gm = cond.margins["e_g_shifted"]
             if min(abs(margin_arith), abs(margin_gm)) <= 1e-6:
                 continue

@@ -9,7 +9,6 @@ an edge needs only one endpoint to pick the other.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._util import as_seed_sequence
 from .csr import SparseSymMatrix
@@ -205,9 +204,10 @@ def _neighbor_graph(data, k_neigh, farthest):
     # smaller index
     cols = np.argsort(key, axis=1, kind="stable")[:, :k_neigh].ravel()
     rows = np.repeat(np.arange(n), k_neigh)
-    adj = sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
-    sym = adj + adj.T  # union symmetrization: symmetric by construction
-    return SparseSymMatrix._canonical(sym.indptr, sym.indices, np.ones(sym.nnz))
+    # union symmetrization: a pair listed in both orientations sums to 2,
+    # so the structure is the union and every value is then reset to 1
+    sym = SparseSymMatrix.from_undirected_edges(n, rows, cols, np.ones(rows.size))
+    return SparseSymMatrix._canonical(sym.row_ptr, sym.col_idx, np.ones(sym.nnz))
 
 
 def knn_pos_graph(data, k_plus):

@@ -16,23 +16,64 @@ the number of stored entries fit (below ``2**31``), whatever index type the
 input had: an entry then takes 12 bytes instead of 16, and a product reads
 less memory.
 
-The scipy boundary: a matrix holds no scipy object.  ``to_dense``,
-``to_scipy`` and the symmetry check wrap the arrays in a ``csr_array`` when
-called (a wrapper, not a copy).  The other operations call scipy's compiled
-kernels (``scipy.sparse._sparsetools``) on the arrays directly: the kernels
-scipy's own methods end in, so the results have scipy's bits, without the
-Python dispatch around them, which costs more than the arithmetic at a few
-hundred vertices.  :meth:`SparseSymMatrix.matvec` calls ``csr_matvec``
-(``csr @ x``), :meth:`SparseSymMatrix.diagonal_vector` ``csr_diagonal``, and
+The scipy boundary: a matrix holds no scipy object, and only the boundary
+operations import the ``scipy.sparse`` package.  That import costs a process
+0.14-0.2 s and 22 MB of resident memory (numpy 2.4, scipy 1.17, 2-vCPU
+x86-64), mostly in scipy's array-API layer, which pulls in ``numpy.f2py``,
+``numpy.testing`` and ``numpy.ma``; siglap calls none of it.  The compiled
+kernels it needs, ``scipy.sparse._sparsetools``, load on their own in under a
+millisecond.  So this module loads that extension by itself from scipy's
+install directory (or takes the one already imported) and calls its kernels
+on the arrays directly: the kernels scipy's own methods end in, so the
+results have scipy's bits, without the Python dispatch around them, which
+costs more than the arithmetic at a few hundred vertices.
+:meth:`SparseSymMatrix.matvec` calls ``csr_matvec`` (``csr @ x``),
+:meth:`SparseSymMatrix.diagonal_vector` ``csr_diagonal``,
+:meth:`SparseSymMatrix.to_dense` ``csr_todense`` (``toarray()``), and
 :func:`add_canonical` ``csr_plus_csr`` / ``csr_minus_csr``, scipy's
 linear-time sum of two canonical matrices, which drops the entries that come
-out zero.  :meth:`SparseSymMatrix.row_sums` is the ``np.add.reduceat`` over
-non-empty rows that ``csr.sum(axis=1)`` runs.
+out zero.  :meth:`SparseSymMatrix.from_undirected_edges` runs the kernel
+chain of ``coo_array(...).tocsr()`` and ``upper + upper.T``.
+:meth:`SparseSymMatrix.row_sums` is the ``np.add.reduceat`` over non-empty
+rows that ``csr.sum(axis=1)`` runs.  Only a scipy matrix handed in
+(``SparseSymMatrix(csr)``, :meth:`SparseSymMatrix.from_dense`, and the
+symmetry check they run) and :meth:`SparseSymMatrix.to_scipy` import
+``scipy.sparse``.
 """
 
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
+
+
+def _load_sparsetools():
+    """``scipy.sparse._sparsetools``, loaded without its package.
+
+    The file sits at scipy's private path, not its API, so where it is
+    missing the module comes from the ordinary (and slower) import.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")  # finds, does not import, scipy
+    dirs = spec.submodule_search_locations if spec is not None else []
+    files = (os.path.join(d, "sparse", "_sparsetools" + suffix) for d in dirs
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+    path = next((f for f in files if os.path.isfile(f)), None)
+    if path is None:
+        return importlib.import_module(name)
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 
 _INT32_MAX = np.iinfo(np.int32).max
@@ -109,6 +150,8 @@ class SparseSymMatrix:
     __slots__ = ("_arrays", "n")
 
     def __init__(self, csr):
+        import scipy.sparse as sp
+
         if not sp.issparse(csr):
             raise TypeError("expected a scipy sparse matrix")
         csr = sp.csr_array(csr, dtype=np.float64, copy=True)
@@ -137,6 +180,8 @@ class SparseSymMatrix:
 
     def _scipy(self):
         # a scipy wrapper of the arrays, built per call and never kept
+        import scipy.sparse as sp
+
         ptr, idx, values = self._arrays
         return sp.csr_array((values, idx, ptr), shape=(self.n, self.n))
 
@@ -171,14 +216,31 @@ class SparseSymMatrix:
             raise ValueError("index out of range")
         if np.any(i == j):
             raise ValueError("self loops are not allowed here")
-        upper = sp.coo_array(
-            (w, (np.minimum(i, j), np.maximum(i, j))), shape=(n, n)
-        ).tocsr()
-        sym = upper + upper.T
-        return cls._canonical(sym.indptr, sym.indices, sym.data)
+        # coo_array((w, (min(i, j), max(i, j)))).tocsr(): a stable bucket
+        # by row, then, unless already canonical, scipy's sort (skipped on
+        # sorted rows, as scipy skips it) and in-order sum of duplicates
+        m = w.size
+        idx = _index_dtype(n, m)
+        rows = np.minimum(i, j, out=np.empty(m, idx), casting="unsafe")
+        cols = np.maximum(i, j, out=np.empty(m, idx), casting="unsafe")
+        ptr, ucols, uvals = np.empty(n + 1, idx), np.empty(m, idx), np.empty(m)
+        _sparsetools.coo_tocsr(n, n, m, rows, cols, w, ptr, ucols, uvals)
+        del rows, cols
+        if not _sparsetools.csr_has_canonical_format(n, ptr, ucols):
+            if not _sparsetools.csr_has_sorted_indices(n, ptr, ucols):
+                _sparsetools.csr_sort_indices(n, ptr, ucols, uvals)
+            _sparsetools.csr_sum_duplicates(n, n, ptr, ucols, uvals)
+        nnz = int(ptr[-1])
+        upper = (ptr, ucols[:nnz], uvals[:nnz])
+        # upper.T in CSR (csc.tocsr()), then upper + upper.T
+        lower = (np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz))
+        _sparsetools.csr_tocsc(n, n, *upper, *lower)
+        return cls._canonical(*add_canonical(n, upper, lower))
 
     @classmethod
     def from_dense(cls, a):
+        import scipy.sparse as sp
+
         a = np.asarray(a, dtype=np.float64)
         return cls(sp.csr_array(a))
 
@@ -255,7 +317,10 @@ class SparseSymMatrix:
         return self.abs_row_sums() - np.abs(self.diagonal_vector())
 
     def to_dense(self):
-        return self._scipy().toarray()
+        out = np.zeros((self.n, self.n))
+        # the kernel behind scipy's csr.toarray(), which adds into zeros
+        _sparsetools.csr_todense(self.n, self.n, *self._arrays, out)
+        return out
 
     def to_scipy(self):
         return self._scipy().copy()

@@ -217,11 +217,14 @@ class KernelBasis:
 
 def _kernel_basis(labels, signs, d):
     # one unit vector per label >= 0, proportional to signs * D^1/2 on its
-    # support; a degree-0 vertex is a singleton, so its vector is e_i
+    # support; a degree-0 vertex is a singleton, so its vector is e_i.  A
+    # label is the smallest vertex of its support, which carries its own
+    # label, so these roots, ranked in index order, number the vectors
     on = labels >= 0
+    roots = labels == np.arange(labels.size)
     ids = np.full(labels.shape, -1)
-    ids[on] = np.unique(labels[on], return_inverse=True)[1]
-    count = int(ids.max(initial=-1)) + 1
+    ids[on] = (np.cumsum(roots) - 1)[labels[on]]
+    count = int(np.count_nonzero(roots))
     entries = np.where(on, signs * np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
     norms = np.sqrt(np.bincount(ids[on], weights=entries[on] ** 2, minlength=count))
     entries[on] /= norms[ids[on]]
@@ -273,24 +276,27 @@ def pencil_kernels(g):
     :func:`_components`, the latter over ``W-``'s double cover, the graph on
     ``2n`` vertices with edges ``(u, v + n)`` and ``(u + n, v)``: a component
     is bipartite exactly when ``u`` and ``u + n`` get different labels, and
-    which of the two labels is smaller gives ``u``'s side.
+    which of the two labels is smaller gives ``u``'s side.  Both are labeled
+    in one pass over their disjoint union, ``W+`` on vertices ``0..n-1`` and
+    the cover on ``n..3n-1``, so the rounds are the larger of the two
+    graphs' counts, not their sum.
     """
     n = g.n
-    plus = g.w_plus
-    kernel_a = _kernel_basis(_components(plus.row_ptr, plus.col_idx, plus.values),
-                             1.0, plus.row_sums())
-
-    # W-'s CSR arrays twice over: row u holds W-'s row u shifted to columns
-    # n..2n-1, row u + n holds it unshifted
-    minus = g.w_minus
-    idx = np.int32 if 2 * max(n, minus.nnz) <= np.iinfo(np.int32).max else np.int64
+    plus, minus = g.w_plus, g.w_minus
+    idx = (np.int32 if max(3 * n, plus.nnz + 2 * minus.nnz) <= np.iinfo(np.int32).max
+           else np.int64)
     ptr = minus.row_ptr.astype(idx, copy=False)
     cols = minus.col_idx.astype(idx, copy=False)
-    # only whether an entry is zero matters, so the cover's values are bools
-    lab = _components(np.concatenate([ptr, ptr[1:] + minus.nnz]),
-                      np.concatenate([cols + n, cols]),
-                      np.tile(minus.values != 0.0, 2))
-    lo, hi = lab[:n], lab[n:]
+    # W+'s CSR arrays, then W-'s twice over: cover row u holds W-'s row u
+    # shifted to cover columns n..2n-1, cover row u + n holds it unshifted;
+    # only whether an entry is zero matters, so the values are bools
+    lab = _components(
+        np.concatenate([plus.row_ptr.astype(idx, copy=False),
+                        ptr[1:] + plus.nnz, ptr[1:] + (plus.nnz + minus.nnz)]),
+        np.concatenate([plus.col_idx.astype(idx, copy=False), cols + 2 * n, cols + n]),
+        np.concatenate([plus.values != 0.0, np.tile(minus.values != 0.0, 2)]))
+    kernel_a = _kernel_basis(lab[:n], 1.0, plus.row_sums())
+    lo, hi = lab[n:2 * n] - n, lab[2 * n:] - n
     kernel_b = _kernel_basis(np.where(lo != hi, np.minimum(lo, hi), -1),
                              np.where(lo < hi, 1.0, -1.0), minus.row_sums())
     return kernel_a, kernel_b

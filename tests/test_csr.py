@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import siglap
 from siglap import (ShiftConfig, SparseSymMatrix, kfn_neg_graph, knn_pos_graph,
                     load_edge_list, shifted_pair)
 from siglap.csr import add_canonical, pair_products
@@ -268,3 +273,130 @@ class TestAlgebra:
         a = SparseSymMatrix.from_dense([[2.0, -1.0], [-1.0, 3.0]])
         np.testing.assert_array_equal(a.row_sums(), [1.0, 2.0])
         np.testing.assert_array_equal(a.abs_offdiag_row_sums(), [1.0, 1.0])
+
+
+def assert_same_arrays(m, expect):
+    """``m`` stores the arrays of ``expect``, entry for entry and in dtype."""
+    for got, want in zip((m.row_ptr, m.col_idx, m.values),
+                         (expect.row_ptr, expect.col_idx, expect.values)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def scipy_undirected(n, i, j, w):
+    # the scipy calls whose arrays from_undirected_edges reproduces
+    upper = sp.coo_array((np.asarray(w, dtype=np.float64),
+                          (np.minimum(i, j), np.maximum(i, j))), shape=(n, n)).tocsr()
+    return SparseSymMatrix._canonical(*scipy_triple(upper + upper.T))
+
+
+def scipy_neighbor_graph(n, rows, cols):
+    # the scipy union whose arrays _neighbor_graph reproduces
+    adj = sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    sym = adj + adj.T
+    return SparseSymMatrix._canonical(sym.indptr, sym.indices, np.ones(sym.nnz))
+
+
+class TestScipyChain:
+    """The kernel chains give the arrays of the scipy calls they replace."""
+
+    @pytest.mark.parametrize("grid", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_undirected_edges_with_duplicates(self, seed, grid):
+        # duplicates in both orientations, on rows long enough that the sort
+        # is not an insertion sort.  Weights on a grid sum to zero in places
+        # and drop out; other weights round differently in another order of
+        # addition.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 120))
+        m = int(rng.integers(1, 40 * n))
+        i, j = rng.integers(0, n, size=(2, m))
+        keep = i != j
+        w = rng.integers(-2, 3, size=m) / 4.0 if grid else rng.standard_normal(m)
+        i, j, w = i[keep], j[keep], w[keep]
+        expect = scipy_undirected(n, i, j, w)
+        assert_same_arrays(SparseSymMatrix.from_undirected_edges(n, i, j, w), expect)
+
+    def test_weights_summing_to_zero_leave_no_entry(self):
+        i, j, w = [0, 1, 2, 3], [1, 0, 3, 2], [1.5, -1.5, 0.25, 0.5]
+        m = SparseSymMatrix.from_undirected_edges(4, i, j, w)
+        assert_same_arrays(m, scipy_undirected(4, np.array(i), np.array(j), w))
+        assert m.nnz == 2
+
+    def test_sorted_rows_skip_the_sort(self):
+        # already sorted, with triplicates, whose sum depends on their order:
+        # scipy sums them without sorting
+        i, j = np.zeros(90, int), np.repeat(np.arange(1, 31), 3)
+        w = np.random.default_rng(6).uniform(0.1, 2.0, 90)
+        assert_same_arrays(SparseSymMatrix.from_undirected_edges(31, i, j, w),
+                           scipy_undirected(31, i, j, w))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_no_edges(self, n):
+        none = np.array([], dtype=np.int64)
+        assert_same_arrays(SparseSymMatrix.from_undirected_edges(n, none, none, []),
+                           scipy_undirected(n, none, none, []))
+
+    @pytest.mark.parametrize("build", [knn_pos_graph, kfn_neg_graph])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_neighbor_graph_with_ties(self, build, k):
+        # duplicate points and points on a grid tie many distances
+        pts = np.round(blobs(seed=k))
+        pts[1] = pts[0]
+        pts[7:12] = pts[20]
+        m = build(pts, k)
+        farthest = build is kfn_neg_graph
+        # the neighbor lists, recomputed as _neighbor_graph does
+        n = pts.shape[0]
+        sq = np.sum(pts**2, axis=1)
+        d2 = np.maximum(sq[:, None] - 2.0 * pts @ pts.T + sq[None, :], 0.0)
+        np.fill_diagonal(d2, -np.inf if farthest else np.inf)
+        cols = np.argsort(-d2 if farthest else d2, axis=1, kind="stable")[:, :k].ravel()
+        assert_same_arrays(m, scipy_neighbor_graph(n, np.repeat(np.arange(n), k), cols))
+
+    @pytest.mark.parametrize("m", by_name({**construction_routes(), **graph_operators()}))
+    def test_to_dense(self, m):
+        dense = m.to_dense()
+        expect = m.to_scipy().toarray()
+        assert dense.dtype == expect.dtype and dense.flags.c_contiguous
+        assert np.array_equal(dense.view(np.uint64), expect.view(np.uint64))
+
+
+def run_fresh(code):
+    src = os.path.dirname(os.path.dirname(siglap.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    return out.stdout.split()
+
+
+class TestScipyInterop:
+    """The kernels load without scipy.sparse, and scipy.sparse still works
+    in the same process, whichever comes first."""
+
+    def test_scipy_sparse_after_siglap(self):
+        out = run_fresh(
+            "import sys, numpy as np, siglap\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            "import scipy.sparse as sp, scipy.sparse.csgraph as cg\n"
+            "a = sp.csr_array(np.array([[0., 2., 0.], [2., 0., 1.], [0., 1., 3.]]))\n"
+            "m = siglap.SparseSymMatrix(a)\n"
+            "back = m.to_scipy()\n"
+            "print(isinstance(back, sp.csr_array), (back != a).nnz,\n"
+            "      np.array_equal(m.matvec(np.ones(3)), a @ np.ones(3)),\n"
+            "      np.array_equal((a + a.T).toarray(), 2 * a.toarray()),\n"
+            "      cg.connected_components(a)[0])\n")
+        assert out == ["False", "True", "0", "True", "True", "1"]
+
+    def test_siglap_after_scipy_sparse(self):
+        out = run_fresh("import scipy.sparse as sp, siglap.csr as c; "
+                        "print(c._sparsetools is sp._sparsetools)")
+        assert out == ["True"]
+
+    def test_missing_file_falls_back_to_the_import(self):
+        # with no extension suffix matching, the kernels come from scipy.sparse
+        out = run_fresh("import sys, importlib.machinery as m; "
+                        "m.EXTENSION_SUFFIXES[:] = ['.missing']; "
+                        "import siglap.csr as c; "
+                        "print(c._sparsetools.__name__, 'scipy.sparse' in sys.modules, "
+                        "c.SparseSymMatrix.identity(2).matvec([1.0, 2.0]).tolist() == [1.0, 2.0])")
+        assert out == ["scipy.sparse._sparsetools", "True", "True"]

@@ -17,7 +17,7 @@ from siglap import (ConvergenceError, IndefiniteOperatorError, KernelBasis,
                     spectral_cluster)
 from siglap.cluster import RESID_TOL
 from siglap.densela import ORACLE_CAP, pencil_inv_sqrt_apply, subspace_angle
-from siglap.graphs import (SignedGraph, laplacian, pencil_kernels,
+from siglap.graphs import (SignedGraph, _components, laplacian, pencil_kernels,
                            signed_laplacian, signless_laplacian)
 from siglap.sbm import (SbmParams, conditions, expected_graph, indicator_basis,
                         sample, two_cluster_benchmark_graph)
@@ -680,7 +680,61 @@ def csgraph_kernel_bases(g):
     return bases
 
 
+def two_pass_kernels(g):
+    """``pencil_kernels`` as two ``_components`` passes, one over ``W+`` and
+    one over ``W-``'s double cover, with each basis numbered by ``np.unique``
+    of its labels."""
+    n = g.n
+
+    def basis(labels, signs, d):
+        on = labels >= 0
+        ids = np.full(labels.shape, -1)
+        ids[on] = np.unique(labels[on], return_inverse=True)[1]
+        count = int(ids.max(initial=-1)) + 1
+        entries = np.where(on, signs * np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
+        norms = np.sqrt(np.bincount(ids[on], weights=entries[on] ** 2, minlength=count))
+        entries[on] /= norms[ids[on]]
+        return ids, entries, count
+
+    plus, minus = g.w_plus, g.w_minus
+    kernel_a = basis(_components(plus.row_ptr, plus.col_idx, plus.values), 1.0,
+                     plus.row_sums())
+    ptr, cols = minus.row_ptr, minus.col_idx
+    lab = _components(np.concatenate([ptr, ptr[1:] + minus.nnz]),
+                      np.concatenate([cols + n, cols]), np.tile(minus.values, 2))
+    lo, hi = lab[:n], lab[n:]
+    kernel_b = basis(np.where(lo != hi, np.minimum(lo, hi), -1),
+                     np.where(lo < hi, 1.0, -1.0), minus.row_sums())
+    return kernel_a, kernel_b
+
+
 class TestPencilKernels:
+    @pytest.mark.parametrize("case", [*KERNEL_CASES, "sbm-k3", "random"])
+    def test_one_pass_matches_two_passes(self, case):
+        # the union's labels, shifted back, are each graph's own, and the
+        # roots rank as np.unique ranks the labels
+        if case == "sbm-k3":
+            g = sample(SbmParams(3, 15, 0.4, 0.25, 0.25, 0.4), 2)
+        elif case == "random":
+            # sparse enough for many components, bipartite or not, and
+            # isolated vertices
+            rng = np.random.default_rng(7)
+
+            def weights(m):
+                i, j = rng.integers(0, 50, size=(2, m))
+                keep = i != j
+                return SparseSymMatrix.from_undirected_edges(
+                    50, i[keep], j[keep], rng.uniform(0.5, 2.0, m)[keep])
+
+            g = SignedGraph(weights(30), weights(25))
+        else:
+            g = KERNEL_CASES[case][0]()
+        for kernel, (ids, entries, count) in zip(pencil_kernels(g), two_pass_kernels(g)):
+            assert kernel.count == count
+            for got, want in ((kernel.ids, ids), (kernel.entries, entries)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_kernels_are_orthonormal_eigenvectors(self, case):
         make, counts = KERNEL_CASES[case]
@@ -955,20 +1009,31 @@ class TestMatrixEigensolver:
 
 
 class TestCostGuards:
-    def test_import_leaves_sparse_linalg_unloaded(self):
-        # scipy.sparse.linalg adds about 10 MB of resident memory, and
-        # scipy.sparse.csgraph loads it; neither the import nor a GM call,
-        # kernels included, needs them
+    def test_import_leaves_sparse_linalg_unloaded(self, tmp_path):
+        # import scipy.sparse costs a process about 0.2 s and 22 MB, and
+        # scipy.sparse.linalg, which scipy.sparse.csgraph loads, 10 MB more;
+        # siglap calls only the compiled kernels, so neither the import nor
+        # any path short of a scipy matrix going in or out loads them
         src = os.path.dirname(os.path.dirname(siglap.__file__))
-        code = ("import sys, siglap; "
-                "g = siglap.two_cluster_benchmark_graph(40, 12, 3)[0]; "
-                "siglap.spectral_cluster(g, 2, 'GM'); "
-                "print(sorted({'scipy.sparse.csgraph', 'scipy.sparse.linalg'}"
-                " & set(sys.modules)))")
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1 1\n2 3 1\n0 2 -1\n1 3 -1\n")
+        code = (
+            "import sys, numpy as np, siglap\n"
+            "from siglap import cli, sbm\n"
+            "g = sbm.sample(sbm.SbmParams(2, 10, 0.9, 0.1, 0.1, 0.9), 3)\n"
+            f"siglap.load_edge_list({str(edges)!r})\n"
+            "pts = np.random.default_rng(0).standard_normal((20, 2))\n"
+            "siglap.knn_pos_graph(pts, 3), siglap.kfn_neg_graph(pts, 3)\n"
+            "for method in ('GM', 'SN', 'BN', 'AM'):\n"
+            "    siglap.spectral_cluster(g, 2, method)\n"
+            "g.w_plus.to_dense()\n"
+            f"cli.main(['cluster', '--edges', {str(edges)!r}, '--k', '2'])\n"
+            "print(sorted({'scipy.sparse', 'scipy.sparse.csgraph',"
+            " 'scipy.sparse.linalg'} & set(sys.modules)))\n")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.splitlines()[-1] == "[]"
 
     def test_two_cluster_takes_few_inverse_applications(self, monkeypatch):
         # Lanczos (ncv = 2k + 1) converges both pairs within one basis and

@@ -230,7 +230,8 @@ class UsageError(Exception):
 def _method(text):
     method = text.strip().upper()
     if method not in METHODS:
-        raise argparse.ArgumentTypeError(f"unknown method {method!r}")
+        raise argparse.ArgumentTypeError(
+            f"unknown method {method!r}, expected one of {','.join(METHODS)}")
     return method
 
 
@@ -278,7 +279,7 @@ def build_parser():
     p.add_argument("--p-in-minus", type=float, required=True)
     p.add_argument("--p-out-minus", type=float, required=True)
     p.add_argument("--methods", type=_methods_list, default=METHODS,
-                   help="comma-separated subset of SN,BN,AM,GM")
+                   help=f"comma-separated subset of {','.join(METHODS)}")
     p.add_argument("--runs", type=_positive_int(1), default=50,
                    help="sampled graphs per method")
     _add_solver(p, kmeans=True)
@@ -294,7 +295,7 @@ def build_parser():
     p.add_argument("--k-minus", type=_positive_int(1), default=10,
                    help="farthest neighbors for the negative graph (points input)")
     p.add_argument("--method", type=_method, default="GM",
-                   help="one of SN,BN,AM,GM")
+                   help=f"one of {','.join(METHODS)}")
     p.add_argument("--k", type=_positive_int(2), required=True,
                    help="number of clusters")
     p.add_argument("--truth", type=str, default=None,
@@ -316,7 +317,7 @@ def build_parser():
     p.add_argument("--avg-degree", type=float, default=50.0,
                    help="expected vertex degree, half positive, half negative")
     p.add_argument("--methods", type=_methods_list, default=("SN", "GM"),
-                   help="comma-separated subset of SN,BN,AM,GM")
+                   help=f"comma-separated subset of {','.join(METHODS)}")
     p.add_argument("--repetitions", type=_positive_int(1), default=10,
                    help="timed solves per cell; the median is reported")
     p.add_argument("--tol", type=float, default=DEFAULT_IPM_TOL,

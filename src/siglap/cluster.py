@@ -15,10 +15,10 @@ from .csr import SparseSymMatrix
 from .errors import ConvergenceError
 from .geomean import (DEFAULT_IPM_TOL, PencilOperator,
                       matrix_smallest_k_eigenpairs, smallest_k_eigenpairs)
-from .graphs import (ShiftConfig, pencil_kernels, shifted_pair,
+from .graphs import (SIGNED_KINDS, ShiftConfig, pencil_kernels, shifted_pair,
                      signed_laplacian)
 
-METHODS = ("SN", "BN", "AM", "GM")
+METHODS = SIGNED_KINDS + ("GM",)
 # Lloyd's iteration stops when the objective falls by at most a fraction
 # KMEANS_RTOL in one step, or after KMEANS_MAX_ITER steps
 KMEANS_MAX_ITER = 300

@@ -312,10 +312,6 @@ class SparseSymMatrix:
                                 np.ones(self.n), y)
         return y
 
-    def abs_offdiag_row_sums(self):
-        """Row sums of absolute off-diagonal entries (Gershgorin radii)."""
-        return self.abs_row_sums() - np.abs(self.diagonal_vector())
-
     def to_dense(self):
         out = np.zeros((self.n, self.n))
         # the kernel behind scipy's csr.toarray(), which adds into zeros

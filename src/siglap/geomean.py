@@ -638,7 +638,8 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     _check_request(m.n, k, tol)
     sigma = MATRIX_SHIFT
     if not definite:
-        gersh = float(np.min(m.diagonal_vector() - m.abs_offdiag_row_sums()))
+        d = m.diagonal_vector()
+        gersh = float(np.min(d - (m.abs_row_sums() - np.abs(d))))
         sigma += max(0.0, -gersh)
     shifted = m.add_diagonal(sigma)
     pc = incomplete_cholesky(shifted)

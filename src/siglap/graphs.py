@@ -7,11 +7,11 @@ This module builds every Laplacian the clustering pipelines consume:
 ======  ==============================================================
 kind    operator
 ======  ==============================================================
-``SR``  signed ratio Laplacian  ``Dbar - W+ + W-``  (= ``L+ + Q-``)
-``SN``  its symmetric normalization ``Dbar^-1/2 SR Dbar^-1/2``
-``BR``  balance ratio Laplacian  ``D+ - W+ + W-``
-``BN``  symmetrized balance normalized form ``Dbar^-1/2 BR Dbar^-1/2``
-        (similar to ``Dbar^-1 BR``, hence the same spectrum)
+``SN``  signed normalized Laplacian
+        ``Dbar^-1/2 (Dbar - W+ + W-) Dbar^-1/2``
+``BN``  symmetrized balance normalized form
+        ``Dbar^-1/2 (D+ - W+ + W-) Dbar^-1/2`` (similar to
+        ``Dbar^-1 (D+ - W+ + W-)``, hence the same spectrum)
 ``AM``  arithmetic mean of normalizations  ``Lsym+ + Qsym-``
 ======  ==============================================================
 
@@ -43,7 +43,7 @@ import numpy as np
 from .csr import SparseSymMatrix, add_canonical, diagonal_arrays, pair_products
 from .errors import EdgeListParseError
 
-SIGNED_KINDS = ("BR", "BN", "SR", "SN", "AM")
+SIGNED_KINDS = ("SN", "BN", "AM")
 
 
 @dataclass(frozen=True)
@@ -164,10 +164,10 @@ def signed_laplacian(g, kind):
         diag_m, term_m = _normalized_part(g.w_minus, 1.0)
         return _assemble(diag_p + diag_m, [term_p, term_m])
     deg = degrees(g)
-    diag = deg.d_bar if kind in ("SR", "SN") else deg.d_plus
-    scale = _inv_sqrt_degrees(deg.d_bar) if kind in ("SN", "BN") else None
+    diag = deg.d_bar if kind == "SN" else deg.d_plus
     # W- - W+ is summed before the Dbar^-1/2 scaling, as in the formula
-    return _assemble(diag, [(g.w_plus, -1.0, None), (g.w_minus, 1.0, None)], scale)
+    return _assemble(diag, [(g.w_plus, -1.0, None), (g.w_minus, 1.0, None)],
+                     _inv_sqrt_degrees(deg.d_bar))
 
 
 def shifted_pair(g, shift):

@@ -213,8 +213,6 @@ def expected_spectrum(params, shift=None):
     lam_m = np.array([lam1m] + [lamim] * (k - 1))
 
     ops = {
-        "BR": OperatorSpectrum(dp - lam_p + lam_m, dp),
-        "SR": OperatorSpectrum(dbar - lam_p + lam_m, dbar),
         "BN": None,
         "SN": None,
         "AM": None,
@@ -261,10 +259,6 @@ def expected_operator_dense(params, kind, shift=None):
         pos = d > 0.0
         return np.where(pos, 1.0 / np.sqrt(np.where(pos, d, 1.0)), 0.0)
 
-    if kind == "SR":
-        return np.diag(dbar) - w_plus + w_minus
-    if kind == "BR":
-        return np.diag(dp) - w_plus + w_minus
     if kind == "SN":
         s = inv_sqrt(dbar)
         return s[:, None] * (np.diag(dbar) - w_plus + w_minus) * s[None, :]

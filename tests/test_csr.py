@@ -269,10 +269,10 @@ class TestAlgebra:
         assert np.array_equal(SparseSymMatrix.from_undirected_edges(3, [], [], []).row_sums(),
                               np.zeros(3))
 
-    def test_row_sums_and_gershgorin(self):
+    def test_row_sums_and_abs_row_sums(self):
         a = SparseSymMatrix.from_dense([[2.0, -1.0], [-1.0, 3.0]])
         np.testing.assert_array_equal(a.row_sums(), [1.0, 2.0])
-        np.testing.assert_array_equal(a.abs_offdiag_row_sums(), [1.0, 1.0])
+        np.testing.assert_array_equal(a.abs_row_sums(), [3.0, 4.0])
 
 
 def assert_same_arrays(m, expect):

@@ -1007,6 +1007,18 @@ class TestMatrixEigensolver:
         pair = matrix_smallest_k_eigenpairs(bn, 1, definite=False, tol=1e-12)[0]
         assert pair.value == pytest.approx(-1.0, abs=1e-8)
 
+    def test_gershgorin_shift(self, monkeypatch):
+        # the off-diagonal absolute row sums are [1, 1], so the lowest
+        # Gershgorin disk reaches -3 and the shift is MATRIX_SHIFT + 3
+        factored = []
+        factor = geomean.incomplete_cholesky
+        monkeypatch.setattr(geomean, "incomplete_cholesky",
+                            lambda m: factored.append(m) or factor(m))
+        m = SparseSymMatrix.from_dense([[-2.0, -1.0], [-1.0, 3.0]])
+        matrix_smallest_k_eigenpairs(m, 1, definite=False, tol=1e-10)
+        np.testing.assert_array_equal(factored[0].diagonal_vector(),
+                                      np.array([-2.0, 3.0]) + (geomean.MATRIX_SHIFT + 3.0))
+
 
 class TestCostGuards:
     def test_import_leaves_sparse_linalg_unloaded(self, tmp_path):

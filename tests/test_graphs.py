@@ -156,28 +156,22 @@ class TestSignedLaplacians:
     def test_no_negative_part_reduces_to_laplacian(self):
         g = random_signed(30, seed=1)
         g = SignedGraph(w_plus=g.w_plus, w_minus=empty(g.n))
-        sr = signed_laplacian(g, "SR").to_dense()
-        np.testing.assert_array_equal(sr, laplacian(g.w_plus).to_dense())
+        sn = signed_laplacian(g, "SN").to_dense()
+        np.testing.assert_array_equal(sn, laplacian(g.w_plus, normalized=True).to_dense())
 
     def test_no_positive_part_reduces_to_signless(self):
         g = random_signed(30, seed=2)
         g = SignedGraph(w_plus=empty(g.n), w_minus=g.w_minus)
-        sr = signed_laplacian(g, "SR").to_dense()
-        np.testing.assert_array_equal(sr, signless_laplacian(g.w_minus).to_dense())
-
-    def test_ratio_identity_exact(self):
-        # SR equals L+ + Q- entrywise with no floating-point slack
-        g = random_signed(50, seed=1)
-        sr = signed_laplacian(g, "SR").to_dense()
-        other = (laplacian(g.w_plus).to_scipy()
-                 + signless_laplacian(g.w_minus).to_scipy()).toarray()
-        assert np.array_equal(sr, other)
+        sn = signed_laplacian(g, "SN").to_dense()
+        np.testing.assert_array_equal(
+            sn, signless_laplacian(g.w_minus, normalized=True).to_dense())
 
     def test_bn_is_similar_to_balance_normalized(self):
         g = random_signed(20, seed=4)
         d = degrees(g)
         bn_sym = signed_laplacian(g, "BN").to_dense()
-        bn = np.diag(1.0 / d.d_bar) @ signed_laplacian(g, "BR").to_dense()
+        br = np.diag(d.d_plus) - g.w_plus.to_dense() + g.w_minus.to_dense()
+        bn = np.diag(1.0 / d.d_bar) @ br
         np.testing.assert_allclose(
             np.sort(dense_sym_eig(bn_sym)[0]),
             np.sort(np.linalg.eigvals(bn).real),
@@ -197,7 +191,7 @@ class TestSignedLaplacians:
 
     def test_all_kinds_are_symmetric_and_psd_where_expected(self):
         g = random_signed(30, seed=9)
-        for kind in ("SR", "SN", "AM"):
+        for kind in ("SN", "AM"):
             m = signed_laplacian(g, kind).to_dense()
             assert dense_sym_eig(m)[0][0] >= -1e-10
 
@@ -350,9 +344,9 @@ class TestOperatorsArePinned:
     operators are assembled cannot silently move a bit."""
 
     @pytest.mark.parametrize("seed, digest", [
-        (0, "d22703915f1991d9d11cd72a0e756fa9ceb15eea65971bee2a7d0e207d2a085e"),
-        (1, "bc6485396954da743ff0be2a2577b5ff50a01b6663d235bcbd8223c8e37e76d8"),
-        (2, "dfb55744dfe75bb2bda3dd45e4ada439ebe90f0c1cdc0e1768bcf1ea53826b6b"),
+        (0, "7214801e073ec26ebf3b674fe9146c94d972577c8ad950f2b1006d9c26fc5a63"),
+        (1, "50605b94fa3cf203c39bf3628a52666145e1de82f1fa9f1f2c5dfd4686ad85be"),
+        (2, "70b2333e59b0084c81c7be11d9b2d7af2e8444a03ae83f1a23d5311e69f860e8"),
     ])
     def test_two_cluster_benchmark_graph(self, seed, digest):
         g, _ = two_cluster_benchmark_graph(80, 50, seed)
@@ -361,7 +355,7 @@ class TestOperatorsArePinned:
     def test_four_cluster_sample(self):
         g = sample(SbmParams(4, 20, 0.3, 0.05, 0.05, 0.3), seed=5)
         assert operators_digest(g) == (
-            "59a9c7122fab5feebef811ece9586a591ac91d28369613bdbfd4e1d650578e80")
+            "0b57532756ab15cc18aeb4d3fad5e60df22d211248fb3628095aa0335171890d")
 
 
 class TestExactSymmetry:
@@ -408,9 +402,7 @@ def recipes(g):
     shift = ShiftConfig()
     a, b = shifted_pair(g, shift)
     out = [
-        ("SR", signed_laplacian(g, "SR"), coo_recipe(d_bar, both)),
         ("SN", signed_laplacian(g, "SN"), coo_recipe(d_bar, both, s_bar)),
-        ("BR", signed_laplacian(g, "BR"), coo_recipe(d_plus, both)),
         ("BN", signed_laplacian(g, "BN"), coo_recipe(d_plus, both, s_bar)),
         ("AM", signed_laplacian(g, "AM"),
          coo_recipe(d_plus * s_plus**2 + d_minus * s_minus**2,
@@ -461,7 +453,7 @@ def isolated_graph():
 
 
 def cancelling_graph():
-    # equal weights of both signs on the same pairs: SR and BR cancel them
+    # equal weights of both signs on the same pairs: SN and BN cancel them
     rng = np.random.default_rng(13)
     n = 30
     i, j = rng.integers(0, n, size=(2, 200))
@@ -506,7 +498,7 @@ class TestAssemblyMatchesCooRecipe:
         assert np.all(g.w_plus.row_sums()[:5] == 0.0)
         assert np.all(laplacian(g.w_plus).row_ptr[1:6] == 0)  # zero diagonal dropped
         g = cancelling_graph()
-        assert signed_laplacian(g, "SR").nnz < (laplacian(g.w_plus).nnz
+        assert signed_laplacian(g, "SN").nnz < (laplacian(g.w_plus).nnz
                                                 + g.w_minus.nnz)
 
     @pytest.mark.parametrize("seed", range(10))

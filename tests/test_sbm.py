@@ -286,7 +286,7 @@ class TestExpectedSpectrum:
         spec = expected_spectrum(params_of(2, 10, 0.0, 0.0, 0.5, 0.5))
         with pytest.raises(ValueError, match="degenerate"):
             spec["GM"]
-        # ratio operators survive a vanishing positive part
+        # SN and BN survive a vanishing positive part
         assert spec["SN"].bulk == 1.0
 
     def test_closed_forms_match_dense_operators(self):

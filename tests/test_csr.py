@@ -10,7 +10,7 @@ import siglap
 from siglap import (ShiftConfig, SparseSymMatrix, kfn_neg_graph, knn_pos_graph,
                     load_edge_list, shifted_pair)
 from siglap.csr import add_canonical, pair_products
-from siglap.graphs import SIGNED_KINDS, signed_laplacian
+from siglap.graphs import SIGNED_KINDS, laplacian, signed_laplacian, signless_laplacian
 from siglap.sbm import two_cluster_benchmark_graph
 
 
@@ -96,6 +96,8 @@ def graph_operators():
     g = two_cluster_benchmark_graph(60, 20, 2)[0]
     ops = {kind: signed_laplacian(g, kind) for kind in SIGNED_KINDS}
     ops["GM A"], ops["GM B"] = shifted_pair(g, ShiftConfig())
+    # the unnormalized assemblies, which no signed kind reaches
+    ops["L+"], ops["Q-"] = laplacian(g.w_plus), signless_laplacian(g.w_minus)
     return ops
 
 

@@ -185,9 +185,10 @@ class TestSignedLaplacians:
                   + signless_laplacian(g.w_minus, normalized=True).to_dense())
         np.testing.assert_array_equal(am, expect)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            signed_laplacian(random_signed(5, seed=0), "XX")
+    @pytest.mark.parametrize("kind", ["XX", "SR", "BR"])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match=r"kind must be one of \('SN', 'BN', 'AM'\)"):
+            signed_laplacian(random_signed(5, seed=0), kind)
 
     def test_all_kinds_are_symmetric_and_psd_where_expected(self):
         g = random_signed(30, seed=9)

@@ -337,8 +337,10 @@ def main(argv=None):
     except NUMERIC_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # input too large to allocate, such as a huge vertex index or point
+    # count, is an input error too
+    except (UsageError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -2,14 +2,17 @@
 
 A :class:`SparseSymMatrix` stores both triangles of a symmetric matrix as
 three canonical CSR arrays (column indices sorted within each row, no
-duplicates), so that matrix-vector products are branch-free row sums.  Each
-array is exactly as long as its content: a view into a longer buffer, such as
-the ones scipy's sums over-allocate, is copied to its own length.  Outside
-input (a scipy matrix or a dense array) is canonicalized by scipy and
-verified to be exactly symmetric, both structurally and numerically.  Edge
-lists, neighbor graphs and graph operators are symmetric by construction and
-hand their canonical arrays to the private ``SparseSymMatrix._canonical``,
-which checks nothing.  Everything downstream may rely on symmetry.
+duplicates), so that matrix-vector products are branch-free row sums.  No
+stored entry is zero: outside input drops its explicit zeros, and every other
+constructor drops the entries that come out zero, so the stored structure of a
+weight matrix is its graph's edge set.  Each array is exactly as long as its
+content: a view into a longer buffer, such as the ones scipy's sums
+over-allocate, is copied to its own length.  Outside input (a scipy matrix or
+a dense array) is canonicalized by scipy and verified to be exactly symmetric,
+both structurally and numerically.  Edge lists, neighbor graphs and graph
+operators are symmetric by construction and hand their canonical arrays to the
+private ``SparseSymMatrix._canonical``, which checks nothing.  Everything
+downstream may rely on symmetry.
 
 Row pointers and column indices are stored as int32 whenever the order and
 the number of stored entries fit (below ``2**31``), whatever index type the
@@ -158,6 +161,7 @@ class SparseSymMatrix:
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
         csr.sum_duplicates()
+        csr.eliminate_zeros()
         self._set(csr.indptr, csr.indices, csr.data)
         self._check_symmetry()
 
@@ -205,13 +209,18 @@ class SparseSymMatrix:
         upper triangle; the lower triangle is its transpose, so the result is
         symmetric by construction and needs no check.  Edges whose weights
         sum to zero leave no stored entry.  Self loops are rejected; drop
-        them before calling.
+        them before calling, and so are indices that are not integers.
         """
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
+        i, j = np.asarray(i), np.asarray(j)
         w = np.asarray(w, dtype=np.float64)
         if i.shape != j.shape or i.shape != w.shape:
             raise ValueError("i, j, w must have equal length")
+        # a NaN or an out-of-range float casts to garbage, which then differs
+        with np.errstate(invalid="ignore"):
+            i64, j64 = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
+        if np.any(i64 != i) or np.any(j64 != j):
+            raise ValueError("vertex indices must be integers")
+        i, j = i64, j64
         if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
             raise ValueError("index out of range")
         if np.any(i == j):

@@ -40,7 +40,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .csr import SparseSymMatrix, add_canonical, diagonal_arrays, pair_products
+from .csr import (SparseSymMatrix, _index_dtype, add_canonical, diagonal_arrays,
+                  pair_products)
 from .errors import EdgeListParseError
 
 SIGNED_KINDS = ("SN", "BN", "AM")
@@ -104,11 +105,6 @@ def _inv_sqrt_degrees(d):
     # degree-0 convention: the scaling entry is 0, zeroing the operator row
     pos = d > 0.0
     return np.where(pos, 1.0 / np.sqrt(np.where(pos, d, 1.0)), 0.0)
-
-
-def _entry_rows(row_ptr):
-    # the row of each stored entry, in the index type of row_ptr
-    return np.repeat(np.arange(row_ptr.size - 1, dtype=row_ptr.dtype), np.diff(row_ptr))
 
 
 def _assemble(diag, terms, scale=None):
@@ -231,10 +227,9 @@ def _kernel_basis(labels, signs, d):
     return KernelBasis(ids=ids, entries=entries, count=count)
 
 
-def _components(row_ptr, col_idx, values):
+def _components(row_ptr, col_idx):
     """Connected components of the symmetric graph with these CSR arrays, each
-    vertex labeled by the smallest vertex of its component; a stored zero is
-    no edge.
+    vertex labeled by the smallest vertex of its component.
 
     Min-label hook and shortcut (FastSV: Zhang, Azad & Hu, SIAM PP 2020), in
     vectorized rounds over a parent array ``f``, with ``f[u] <= u``.  A round
@@ -243,23 +238,14 @@ def _components(row_ptr, col_idx, values):
     as ``f[f] <= f``, that also shortcuts the vertex to its grandparent.  The
     labels are final once a round leaves ``f[f]`` unchanged.
     """
-    n = row_ptr.size - 1
-    edge = values != 0.0
-    # without stored zeros the arrays are used as they are: at n = 1e5 the
-    # copies set a GM call's peak memory
-    if edge.all():
-        cols, counts = col_idx, np.diff(row_ptr)
-    else:
-        cols = col_idx[edge]
-        counts = np.bincount(_entry_rows(row_ptr)[edge], minlength=n)
-    heads = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[heads]
-    f = grand = np.arange(n, dtype=row_ptr.dtype)
+    heads = np.flatnonzero(np.diff(row_ptr))
+    starts = row_ptr[heads]
+    f = grand = np.arange(row_ptr.size - 1, dtype=row_ptr.dtype)
     while True:
         near = grand.copy()
         if heads.size:
             near[heads] = np.minimum(near[heads],
-                                     np.minimum.reduceat(grand[cols], starts))
+                                     np.minimum.reduceat(grand[col_idx], starts))
         parent, f = f, near.copy()
         np.minimum.at(f, parent, near)
         grand, old = f[f], grand
@@ -272,31 +258,24 @@ def pencil_kernels(g):
 
     These are the eigenvectors of the :func:`shifted_pair` with eigenvalues
     ``eps1`` and ``eps2`` (see the module docstring).  The components of
-    ``W+`` and every bipartite component of ``W-`` come from
-    :func:`_components`, the latter over ``W-``'s double cover, the graph on
-    ``2n`` vertices with edges ``(u, v + n)`` and ``(u + n, v)``: a component
-    is bipartite exactly when ``u`` and ``u + n`` get different labels, and
-    which of the two labels is smaller gives ``u``'s side.  Both are labeled
-    in one pass over their disjoint union, ``W+`` on vertices ``0..n-1`` and
-    the cover on ``n..3n-1``, so the rounds are the larger of the two
-    graphs' counts, not their sum.
+    ``W+`` are labeled by :func:`_components` on ``W+``'s own arrays, and
+    every bipartite component of ``W-`` on ``W-``'s double cover, the graph
+    on ``2n`` vertices with edges ``(u, v + n)`` and ``(u + n, v)``: a
+    component is bipartite exactly when ``u`` and ``u + n`` get different
+    labels, and which of the two labels is smaller gives ``u``'s side.
     """
     n = g.n
     plus, minus = g.w_plus, g.w_minus
-    idx = (np.int32 if max(3 * n, plus.nnz + 2 * minus.nnz) <= np.iinfo(np.int32).max
-           else np.int64)
+    kernel_a = _kernel_basis(_components(plus.row_ptr, plus.col_idx), 1.0,
+                             plus.row_sums())
+    idx = _index_dtype(2 * n, 2 * minus.nnz)
     ptr = minus.row_ptr.astype(idx, copy=False)
     cols = minus.col_idx.astype(idx, copy=False)
-    # W+'s CSR arrays, then W-'s twice over: cover row u holds W-'s row u
-    # shifted to cover columns n..2n-1, cover row u + n holds it unshifted;
-    # only whether an entry is zero matters, so the values are bools
-    lab = _components(
-        np.concatenate([plus.row_ptr.astype(idx, copy=False),
-                        ptr[1:] + plus.nnz, ptr[1:] + (plus.nnz + minus.nnz)]),
-        np.concatenate([plus.col_idx.astype(idx, copy=False), cols + 2 * n, cols + n]),
-        np.concatenate([plus.values != 0.0, np.tile(minus.values != 0.0, 2)]))
-    kernel_a = _kernel_basis(lab[:n], 1.0, plus.row_sums())
-    lo, hi = lab[n:2 * n] - n, lab[2 * n:] - n
+    # cover row u holds W-'s row u shifted to cover columns n..2n-1, cover
+    # row u + n holds it unshifted
+    lab = _components(np.concatenate([ptr, ptr[1:] + minus.nnz]),
+                      np.concatenate([cols + n, cols]))
+    lo, hi = lab[:n], lab[n:]
     kernel_b = _kernel_basis(np.where(lo != hi, np.minimum(lo, hi), -1),
                              np.where(lo < hi, 1.0, -1.0), minus.row_sums())
     return kernel_a, kernel_b
@@ -329,6 +308,8 @@ def _scan_edge_lines(path):
                 raise EdgeListParseError(f"non-finite weight {parts[2]!r}", line_no)
             if i < 0 or j < 0:
                 raise EdgeListParseError("negative vertex index", line_no)
+            if max(i, j) > np.iinfo(np.int64).max:
+                raise EdgeListParseError("vertex index above 2**63 - 1", line_no)
             edges.append((i, j, w))
     return np.array(edges, dtype=_EDGE_COLUMNS, ndmin=1)
 

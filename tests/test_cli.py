@@ -178,6 +178,23 @@ class TestClusterCommand:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_index_beyond_int64_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 99999999999999999999 -1\n")
+        code = main(["cluster", "--edges", str(bad), "--k", "2"])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
+
+    def test_input_too_large_to_allocate(self, tmp_path, capsys):
+        # n = 10**15 + 1 vertices: the first n-long array (8 PB) fails at
+        # once, before anything is written
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1000000000000000 -1\n")
+        code = main(["cluster", "--edges", str(bad), "--k", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBench:
     def test_single_row(self, tmp_path):

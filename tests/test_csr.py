@@ -54,6 +54,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="self loops"):
             SparseSymMatrix.from_undirected_edges(2, [0], [0], [1.0])
 
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            SparseSymMatrix.from_undirected_edges(3, [0.9], [1.7], [2.0])
+        with pytest.raises(ValueError, match="integers"):
+            SparseSymMatrix.from_undirected_edges(3, [0], [np.nan], [2.0])
+        # integer inputs, whole floats and empty float arrays are indices
+        for i, j in (([0], [1]), (np.array([0], np.int32), np.array([1], np.uint8)),
+                     ([0.0], [1.0])):
+            m = SparseSymMatrix.from_undirected_edges(3, i, j, [2.0])
+            assert m.to_dense()[0, 1] == m.to_dense()[1, 0] == 2.0
+        assert SparseSymMatrix.from_undirected_edges(3, [], [], []).nnz == 0
+
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             SparseSymMatrix.from_undirected_edges(2, [0], [2], [1.0])

@@ -17,7 +17,7 @@ from siglap import (ConvergenceError, IndefiniteOperatorError, KernelBasis,
                     spectral_cluster)
 from siglap.cluster import RESID_TOL
 from siglap.densela import ORACLE_CAP, pencil_inv_sqrt_apply, subspace_angle
-from siglap.graphs import (SignedGraph, _components, laplacian, pencil_kernels,
+from siglap.graphs import (SignedGraph, laplacian, pencil_kernels,
                            signed_laplacian, signless_laplacian)
 from siglap.sbm import (SbmParams, conditions, expected_graph, indicator_basis,
                         sample, two_cluster_benchmark_graph)
@@ -642,6 +642,34 @@ KERNEL_CASES = {
 }
 
 
+def random_sparse(explicit_zeros=False):
+    """Sparse enough for many components, bipartite or not, and isolated
+    vertices; with ``explicit_zeros``, built from scipy input in which a
+    third of the edges have weight 0."""
+    rng = np.random.default_rng(7)
+
+    def weights(m):
+        i, j = rng.integers(0, 50, size=(2, m))
+        keep = i != j
+        i, j, w = i[keep], j[keep], rng.uniform(0.5, 2.0, m)[keep]
+        if not explicit_zeros:
+            return SparseSymMatrix.from_undirected_edges(50, i, j, w)
+        w[rng.random(w.size) < 0.3] = 0.0
+        return SparseSymMatrix(sp.coo_array((np.r_[w, w], (np.r_[i, j], np.r_[j, i])),
+                                            shape=(50, 50)))
+
+    return SignedGraph(weights(30), weights(25))
+
+
+# the graphs whose kernels are checked against csgraph's components
+KERNEL_GRAPHS = {
+    **{case: make for case, (make, _) in KERNEL_CASES.items()},
+    "sbm-k3": lambda: sample(SbmParams(3, 15, 0.4, 0.25, 0.25, 0.4), 2),
+    "random": random_sparse,
+    "explicit-zeros": lambda: random_sparse(explicit_zeros=True),
+}
+
+
 @pytest.fixture
 def pcg_iterations(monkeypatch):
     """The iteration counts of every ``pcg_solve`` the pencil makes."""
@@ -662,8 +690,11 @@ def csgraph_kernel_bases(g):
     csgraph, one column per component of ``W+`` and per bipartite component
     of ``W-``, the latter read off ``W-``'s double cover."""
     n = g.n
-    w_minus = g.w_minus.to_scipy()
-    plus = connected_components(g.w_plus.to_scipy(), directed=False)[1]
+    w_plus, w_minus = g.w_plus.to_scipy(), g.w_minus.to_scipy()
+    # an explicit zero is no edge, but csgraph reads one as an edge
+    w_plus.eliminate_zeros()
+    w_minus.eliminate_zeros()
+    plus = connected_components(w_plus, directed=False)[1]
     cover = connected_components(sp.bmat([[None, w_minus], [w_minus, None]]),
                                  directed=False)[1]
     lo, hi = cover[:n], cover[n:]
@@ -680,61 +711,7 @@ def csgraph_kernel_bases(g):
     return bases
 
 
-def two_pass_kernels(g):
-    """``pencil_kernels`` as two ``_components`` passes, one over ``W+`` and
-    one over ``W-``'s double cover, with each basis numbered by ``np.unique``
-    of its labels."""
-    n = g.n
-
-    def basis(labels, signs, d):
-        on = labels >= 0
-        ids = np.full(labels.shape, -1)
-        ids[on] = np.unique(labels[on], return_inverse=True)[1]
-        count = int(ids.max(initial=-1)) + 1
-        entries = np.where(on, signs * np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
-        norms = np.sqrt(np.bincount(ids[on], weights=entries[on] ** 2, minlength=count))
-        entries[on] /= norms[ids[on]]
-        return ids, entries, count
-
-    plus, minus = g.w_plus, g.w_minus
-    kernel_a = basis(_components(plus.row_ptr, plus.col_idx, plus.values), 1.0,
-                     plus.row_sums())
-    ptr, cols = minus.row_ptr, minus.col_idx
-    lab = _components(np.concatenate([ptr, ptr[1:] + minus.nnz]),
-                      np.concatenate([cols + n, cols]), np.tile(minus.values, 2))
-    lo, hi = lab[:n], lab[n:]
-    kernel_b = basis(np.where(lo != hi, np.minimum(lo, hi), -1),
-                     np.where(lo < hi, 1.0, -1.0), minus.row_sums())
-    return kernel_a, kernel_b
-
-
 class TestPencilKernels:
-    @pytest.mark.parametrize("case", [*KERNEL_CASES, "sbm-k3", "random"])
-    def test_one_pass_matches_two_passes(self, case):
-        # the union's labels, shifted back, are each graph's own, and the
-        # roots rank as np.unique ranks the labels
-        if case == "sbm-k3":
-            g = sample(SbmParams(3, 15, 0.4, 0.25, 0.25, 0.4), 2)
-        elif case == "random":
-            # sparse enough for many components, bipartite or not, and
-            # isolated vertices
-            rng = np.random.default_rng(7)
-
-            def weights(m):
-                i, j = rng.integers(0, 50, size=(2, m))
-                keep = i != j
-                return SparseSymMatrix.from_undirected_edges(
-                    50, i[keep], j[keep], rng.uniform(0.5, 2.0, m)[keep])
-
-            g = SignedGraph(weights(30), weights(25))
-        else:
-            g = KERNEL_CASES[case][0]()
-        for kernel, (ids, entries, count) in zip(pencil_kernels(g), two_pass_kernels(g)):
-            assert kernel.count == count
-            for got, want in ((kernel.ids, ids), (kernel.entries, entries)):
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
-
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_kernels_are_orthonormal_eigenvectors(self, case):
         make, counts = KERNEL_CASES[case]
@@ -751,10 +728,14 @@ class TestPencilKernels:
             assert np.abs(z.T @ z - np.eye(count)).max(initial=0.0) <= 1e-12
             assert np.abs(m.to_scipy() @ z - eps * z).max(initial=0.0) <= 1e-12
 
-    @pytest.mark.parametrize("case", KERNEL_CASES)
+    @pytest.mark.parametrize("case", KERNEL_GRAPHS)
     def test_kernels_match_csgraph_components(self, case):
-        g = KERNEL_CASES[case][0]()
+        g = KERNEL_GRAPHS[case]()
         for kernel, oracle in zip(pencil_kernels(g), csgraph_kernel_bases(g)):
+            # vectors are numbered in the order of their smallest vertex
+            ids = kernel.ids[kernel.ids >= 0]
+            first = np.unique(ids, return_index=True)[1]
+            assert np.array_equal(ids[np.sort(first)], np.arange(kernel.count))
             z = dense_basis(kernel)
             assert z.shape == oracle.shape
             assert np.abs(z @ z.T - oracle @ oracle.T).max(initial=0.0) <= 1e-12

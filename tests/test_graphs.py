@@ -277,6 +277,11 @@ class TestEdgeList:
         with pytest.raises(EdgeListParseError, match="negative"):
             load_edge_list(self.write(tmp_path, "-1 0 1.0\n"))
 
+    def test_index_beyond_int64_reports_line(self, tmp_path):
+        path = self.write(tmp_path, "0 1 1.0\n0 99999999999999999999 -1\n")
+        with pytest.raises(EdgeListParseError, match="line 2"):
+            load_edge_list(path)
+
     def test_index_written_as_float_reports_line(self, tmp_path):
         # numpy's reader rejects it (older numpy only warns); the line
         # scanner names the line
@@ -419,27 +424,28 @@ def recipes(g):
     return out
 
 
-def stored(n, i, j, w, int64=False):
-    """A weight matrix from outside input, which keeps stored zeros."""
-    m = sp.coo_array((np.r_[w, w], (np.r_[i, j], np.r_[j, i])), shape=(n, n)).tocsr()
-    m.sum_duplicates()
-    if int64:
-        m = sp.csr_array((m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)),
-                         shape=m.shape)
-    return SparseSymMatrix(m)
-
-
-def stored_zeros_graph(int64=False):
+def explicit_zeros_inputs(int64=False):
+    """Two scipy weight matrices as outside input may hold them, with
+    explicit zeros."""
     rng = np.random.default_rng(11)
     n, m = 40, 300
     parts = []
     for _ in range(2):
         i, j = rng.integers(0, n, size=(2, m))
         keep = i < j
-        w = rng.uniform(0.1, 2.0, size=m)[keep]
+        i, j, w = i[keep], j[keep], rng.uniform(0.1, 2.0, size=m)[keep]
         w[rng.random(w.size) < 0.3] = 0.0
-        parts.append(stored(n, i[keep], j[keep], w, int64))
-    return SignedGraph(*parts)
+        csr = sp.coo_array((np.r_[w, w], (np.r_[i, j], np.r_[j, i])), shape=(n, n)).tocsr()
+        csr.sum_duplicates()
+        if int64:
+            csr = sp.csr_array((csr.data, csr.indices.astype(np.int64),
+                                csr.indptr.astype(np.int64)), shape=csr.shape)
+        parts.append(csr)
+    return parts
+
+
+def stored_zeros_graph(int64=False):
+    return SignedGraph(*map(SparseSymMatrix, explicit_zeros_inputs(int64)))
 
 
 def isolated_graph():
@@ -491,8 +497,13 @@ class TestAssemblyMatchesCooRecipe:
             assert np.array_equal(built.values, expect.data), name
 
     def test_cases_have_what_they_are_named_for(self):
+        inputs = explicit_zeros_inputs()
+        assert all(np.any(m.data == 0.0) for m in inputs)
+        # the boundary dropped them
         g = stored_zeros_graph()
-        assert np.any(g.w_plus.values == 0.0) and np.any(g.w_minus.values == 0.0)
+        for w, m in zip((g.w_plus, g.w_minus), inputs):
+            assert np.all(w.values != 0.0)
+            assert w.nnz == np.count_nonzero(m.data)
         # int64 input is stored with int32 indices, as every other input
         assert stored_zeros_graph(int64=True).w_plus.col_idx.dtype == np.int32
         g = isolated_graph()
@@ -522,8 +533,7 @@ def oracle_components(m):
 
 
 def components(m):
-    return _components(m.indptr.astype(np.int32), m.indices.astype(np.int32),
-                       m.data)
+    return _components(m.indptr.astype(np.int32), m.indices.astype(np.int32))
 
 
 class TestComponents:
@@ -533,14 +543,15 @@ class TestComponents:
         n = int(rng.integers(3, 80))
         # two vertices, at random places, get no edge
         i, j = rng.permutation(n)[2:][rng.integers(0, n - 2, size=(2, 2 * n))]
-        # both orientations of each edge; weights 0 are stored zeros, which
-        # are no edges
+        # both orientations of each edge; weights 0 are explicit zeros, which
+        # the boundary drops, so they are no edges
         w = rng.integers(0, 3, size=i.size).astype(float)
         m = sp.coo_array((np.tile(w, 2), (np.r_[i, j], np.r_[j, i])),
                          shape=(n, n)).tocsr()
-        m.sort_indices()
         assert np.any(m.data == 0.0)
-        labels = components(m)
+        s = SparseSymMatrix(m)
+        assert np.all(s.values != 0.0)
+        labels = _components(s.row_ptr, s.col_idx)
         assert labels.dtype == np.int32
         np.testing.assert_array_equal(labels, oracle_components(m))
 

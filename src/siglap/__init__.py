@@ -23,11 +23,11 @@ from .errors import ConvergenceError, EdgeListParseError, IndefiniteOperatorErro
 from .geomean import (EigenPair, PencilOperator, a_orthonormalize,
                       apply_geometric_mean, eksm_apply_inv_sqrt,
                       matrix_smallest_k_eigenpairs, smallest_k_eigenpairs)
-from .graphs import (KernelBasis, ShiftConfig, SignedGraph, degrees,
-                     laplacian, load_edge_list, pencil_kernels, shifted_pair,
+from .graphs import (KernelBasis, ShiftConfig, SignedGraph, laplacian,
+                     load_edge_list, pencil_kernels, shifted_pair,
                      signed_laplacian, signless_laplacian)
 from .pcg import pcg_solve
-from .precond import IcPreconditioner, incomplete_cholesky, jacobi
+from .precond import IcPreconditioner, incomplete_cholesky
 from .sbm import (SbmParams, conditions, corollary_bound, expected_graph,
                   expected_spectrum, indicator_basis, region_fraction, sample,
                   two_cluster_benchmark_graph)
@@ -40,9 +40,9 @@ __all__ = [
     "PencilOperator", "SbmParams", "ShiftConfig", "SignedGraph",
     "SparseSymMatrix", "a_orthonormalize", "apply_geometric_mean",
     "clustering_error", "conditions", "corollary_bound",
-    "dense_geometric_mean", "dense_inv_sqrt", "dense_sym_eig", "degrees",
+    "dense_geometric_mean", "dense_inv_sqrt", "dense_sym_eig",
     "eksm_apply_inv_sqrt", "expected_graph", "expected_spectrum",
-    "incomplete_cholesky", "indicator_basis", "jacobi", "kfn_neg_graph",
+    "incomplete_cholesky", "indicator_basis", "kfn_neg_graph",
     "kmeans", "knn_pos_graph", "laplacian", "load_edge_list",
     "matrix_smallest_k_eigenpairs", "pcg_solve", "pencil_kernels",
     "region_fraction", "sample", "shifted_pair", "signed_laplacian",

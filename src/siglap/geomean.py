@@ -631,9 +631,13 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     preconditioned inner solves; each pair starts from one child of
     ``seed``.  ``definite=True`` asserts ``m`` is positive semidefinite and
     uses ``sigma = MATRIX_SHIFT``; otherwise a Gershgorin bound raises the
-    shift until the iteration matrix is SPD.  Values and residuals refer to
-    ``m`` itself, measured exactly with ``m.matvec``; each vector is
-    accepted at a backward error of ``tol`` (see :func:`_inverse_iteration`).
+    shift until the iteration matrix is strictly diagonally dominant.  IC(0)
+    exists for the shifted SN, BN and AM operators (see
+    :mod:`siglap.precond`); where it breaks down, this raises
+    :class:`~siglap.errors.IndefiniteOperatorError`.  Values and residuals
+    refer to ``m`` itself, measured exactly with ``m.matvec``; each vector
+    is accepted at a backward error of ``tol`` (see
+    :func:`_inverse_iteration`).
     """
     _check_request(m.n, k, tol)
     sigma = MATRIX_SHIFT

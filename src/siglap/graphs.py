@@ -69,13 +69,6 @@ class SignedGraph:
 
 
 @dataclass(frozen=True)
-class DegreeVectors:
-    d_plus: np.ndarray
-    d_minus: np.ndarray
-    d_bar: np.ndarray
-
-
-@dataclass(frozen=True)
 class ShiftConfig:
     """Diagonal shifts making the normalized Laplacian pair positive definite."""
 
@@ -84,21 +77,10 @@ class ShiftConfig:
 
     def __post_init__(self):
         # written so that NaN fails each test
-        if not (self.eps1 >= 0.0 and self.eps2 >= 0.0):
-            raise ValueError("shifts must be nonnegative")
+        if not (self.eps1 > 0.0 and self.eps2 > 0.0):
+            raise ValueError("shifts must be positive")
         if not self.eps1 + self.eps2 < 1.0:
             raise ValueError("eps1 + eps2 must be below 1")
-
-    def require_positive(self):
-        if self.eps1 <= 0.0 or self.eps2 <= 0.0:
-            raise ValueError("the geometric-mean path needs strictly positive shifts")
-
-
-def degrees(g):
-    """Per-vertex degree sums; ``d_bar`` is computed as ``d_plus + d_minus``."""
-    d_plus = g.w_plus.row_sums()
-    d_minus = g.w_minus.row_sums()
-    return DegreeVectors(d_plus=d_plus, d_minus=d_minus, d_bar=d_plus + d_minus)
 
 
 def _inv_sqrt_degrees(d):
@@ -159,16 +141,16 @@ def signed_laplacian(g, kind):
         diag_p, term_p = _normalized_part(g.w_plus, -1.0)
         diag_m, term_m = _normalized_part(g.w_minus, 1.0)
         return _assemble(diag_p + diag_m, [term_p, term_m])
-    deg = degrees(g)
-    diag = deg.d_bar if kind == "SN" else deg.d_plus
+    d_plus = g.w_plus.row_sums()
+    d_bar = d_plus + g.w_minus.row_sums()
     # W- - W+ is summed before the Dbar^-1/2 scaling, as in the formula
-    return _assemble(diag, [(g.w_plus, -1.0, None), (g.w_minus, 1.0, None)],
-                     _inv_sqrt_degrees(deg.d_bar))
+    return _assemble(d_bar if kind == "SN" else d_plus,
+                     [(g.w_plus, -1.0, None), (g.w_minus, 1.0, None)],
+                     _inv_sqrt_degrees(d_bar))
 
 
 def shifted_pair(g, shift):
     """The SPD operator pair ``(Lsym+ + eps1 I, Qsym- + eps2 I)``."""
-    shift.require_positive()
     diag_p, term_p = _normalized_part(g.w_plus, -1.0)
     diag_m, term_m = _normalized_part(g.w_minus, 1.0)
     return (_assemble(diag_p + shift.eps1, [term_p]),

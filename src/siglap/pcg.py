@@ -31,7 +31,7 @@ def pcg_solve(m, b, preconditioner=None, tol=1e-10):
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros_like(b), 0
-    # plain CG tests r.r, which it needs for the next step anyway
+    # one stop test, on r.r; plain CG reuses r.r as its next r.z
     stop_sq = (tol * b_norm) ** 2
 
     x = np.zeros_like(b)
@@ -56,14 +56,12 @@ def pcg_solve(m, b, preconditioner=None, tol=1e-10):
         x += alpha * p
         mp *= alpha
         r -= mp
+        rr = float(r.dot(r))
+        if rr <= stop_sq:
+            return x, k
         if preconditioner is None:
-            rz_new = float(r.dot(r))
-            if rz_new <= stop_sq:
-                return x, k
-            z = r
+            z, rz_new = r, rr
         else:
-            if np.linalg.norm(r) <= tol * b_norm:
-                return x, k
             z = preconditioner.solve(r)
             rz_new = float(r.dot(z))
             if rz_new <= 0.0:

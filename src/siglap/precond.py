@@ -1,23 +1,39 @@
-"""Jacobi and zero-fill incomplete Cholesky preconditioning.
+"""Zero-fill incomplete Cholesky (IC(0)) preconditioning.
 
-:func:`jacobi` scales by the inverse diagonal.  :func:`incomplete_cholesky`
-keeps exactly the lower-triangular sparsity pattern of the input (IC(0)).  If
-a pivot becomes non-positive the factorization falls back to :func:`jacobi`
-instead of failing or shifting; the chosen kind is recorded on the result.
-Factorization and the two triangular solves are plain Python loops.
+:func:`incomplete_cholesky` keeps exactly the lower-triangular sparsity
+pattern of the input.  It is the one preconditioner, and its only caller,
+:func:`siglap.geomean.matrix_smallest_k_eigenpairs`, factors ``m + sigma I``
+for the explicit operators of the clustering front end.  IC(0) exists for
+every symmetric H-matrix with a positive diagonal (Meijerink & van der
+Vorst, Math. Comp. 31, 1977, for M-matrices; Manteuffel, Math. Comp. 34,
+1980), and each of those shifted operators is one:
 
-IC(0)'s only caller is the explicit-matrix eigensolver
-(:func:`siglap.geomean.matrix_smallest_k_eigenpairs`), and :func:`jacobi` is
-left only as its fallback.  The geometric-mean pencil needs neither: its
-inner solves are deflated by the kernels of ``Lsym+`` and ``Qsym-`` and run
-unpreconditioned (see :mod:`siglap.geomean`).
+* ``SN + sigma I``: its comparison matrix (absolute diagonal, minus the
+  absolute off-diagonal) dominates ``Lsym(W+ + W-) + sigma I``, an SPD
+  M-matrix, even where a vertex pair carries both signs;
+* ``AM + sigma I``: likewise over ``Lsym(W+) + Lsym(W-) + sigma I``;
+* ``BN`` shifted past its lowest Gershgorin disk: strictly diagonally
+  dominant.
+
+A vertex with no edge has a zero row, and the shift alone is its pivot.
+Outside these classes IC(0) may break down, and a breakdown raises
+:class:`~siglap.errors.IndefiniteOperatorError`: a non-positive or
+structurally missing diagonal entry, or a non-positive pivot.  Factorization
+and the two triangular solves are plain Python loops.
+
+The geometric-mean pencil needs no preconditioner: its inner solves are
+deflated by the kernels of ``Lsym+`` and ``Qsym-`` and run unpreconditioned
+(see :mod:`siglap.geomean`).
 """
 
 import numpy as np
 
+from .errors import IndefiniteOperatorError
+
 
 def _ic0_factor(n, lp, lj, lx):
-    """In-place IC(0) on lower-triangular CSR arrays; returns False on breakdown.
+    """In-place IC(0) on lower-triangular CSR arrays; returns the row of the
+    first non-positive pivot, or -1 when the factor is complete.
 
     Assumes each row's entries are sorted and end with the diagonal.
     """
@@ -47,10 +63,10 @@ def _ic0_factor(n, lp, lj, lx):
         d = lx[row_end - 1]
         for ii in range(row_start, row_end - 1):
             d -= lx[ii] * lx[ii]
-        if d <= 0.0:
-            return False
+        if not d > 0.0:  # NaN fails too
+            return i
         lx[row_end - 1] = np.sqrt(d)
-    return True
+    return -1
 
 
 def _lower_solve(n, lp, lj, lx, b, out):
@@ -72,60 +88,41 @@ def _lower_t_solve(n, lp, lj, lx, x):
 
 
 class IcPreconditioner:
-    """SPD preconditioner: either an IC(0) factor or the Jacobi diagonal.
+    """An IC(0) factor ``L``; applying it (`solve`) is ``(L L')^-1``, a
+    symmetric positive definite operation."""
 
-    ``kind`` is ``"ic0"`` when the factorization succeeded and ``"diagonal"``
-    when it fell back.  Applying it (`solve`) is always a symmetric positive
-    definite operation.
-    """
+    __slots__ = ("n", "_lp", "_lj", "_lx")
+    kind = "ic0"
 
-    __slots__ = ("kind", "n", "_lp", "_lj", "_lx", "_inv_diag")
-
-    def __init__(self, kind, n, lower=None, inv_diag=None):
-        self.kind = kind
+    def __init__(self, n, lower):
         self.n = n
-        if kind == "ic0":
-            # the factor's CSR arrays (row_ptr, col_idx, values)
-            self._lp, self._lj, self._lx = lower
-            self._inv_diag = None
-        elif kind == "diagonal":
-            self._lp = self._lj = self._lx = None
-            self._inv_diag = inv_diag
-        else:
-            raise ValueError(f"unknown preconditioner kind {kind!r}")
+        # the factor's CSR arrays (row_ptr, col_idx, values)
+        self._lp, self._lj, self._lx = lower
 
     def solve(self, r):
         """Return ``P^{-1} r``."""
-        if self.kind == "diagonal":
-            return r * self._inv_diag
         out = np.empty_like(r)
         _lower_solve(self.n, self._lp, self._lj, self._lx, r, out)
         _lower_t_solve(self.n, self._lp, self._lj, self._lx, out)
         return out
 
 
-def jacobi(m):
-    """Jacobi (diagonal) preconditioner of a symmetric matrix.
-
-    Scales by the inverse of each positive diagonal entry; rows whose
-    diagonal is zero or negative are left unscaled, so the application stays
-    symmetric positive definite for any input.
-    """
-    diag = m.diagonal_vector()
-    inv = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
-    return IcPreconditioner("diagonal", m.n, inv_diag=inv)
-
-
 def incomplete_cholesky(m):
     """IC(0) factorization of a symmetric matrix with positive diagonal.
 
-    On any pivot breakdown (including a non-positive or structurally missing
-    diagonal) this silently returns the Jacobi preconditioner; the ``kind``
-    flag on the result records which one you got.
+    Raises
+    ------
+    IndefiniteOperatorError
+        On a non-positive or structurally missing diagonal entry, or a
+        non-positive pivot (see the module docstring for why the shifted
+        operators of the pipeline have neither).
     """
     diag = m.diagonal_vector()
-    if diag.size == 0 or np.any(diag <= 0.0):
-        return jacobi(m)
+    bad = np.flatnonzero(~(diag > 0.0))
+    if bad.size:
+        raise IndefiniteOperatorError(
+            f"IC(0) needs a positive diagonal; entry {bad[0]} is "
+            f"{diag[bad[0]]:g} (non-positive or structurally missing)")
     # the lower triangle of the canonical arrays: each row's columns are
     # sorted, so its kept entries end with the diagonal
     rows = np.repeat(np.arange(m.n, dtype=m.row_ptr.dtype), np.diff(m.row_ptr))
@@ -133,6 +130,9 @@ def incomplete_cholesky(m):
     lp = np.zeros_like(m.row_ptr)
     np.cumsum(np.bincount(rows[keep], minlength=m.n), out=lp[1:])
     lj, lx = m.col_idx[keep], m.values[keep]
-    if not _ic0_factor(m.n, lp, lj, lx):
-        return jacobi(m)
-    return IcPreconditioner("ic0", m.n, lower=(lp, lj, lx))
+    row = _ic0_factor(m.n, lp, lj, lx)
+    if row >= 0:
+        raise IndefiniteOperatorError(
+            f"IC(0) broke down: non-positive pivot in row {row}; the matrix "
+            "is not a symmetric H-matrix with positive diagonal")
+    return IcPreconditioner(m.n, (lp, lj, lx))

@@ -179,12 +179,6 @@ class OperatorSpectrum:
 
 @dataclass(frozen=True)
 class ExpectedSpectrum:
-    lambda1_plus: float
-    lambdai_plus: float
-    lambda1_minus: float
-    lambdai_minus: float
-    d_plus: float
-    d_minus: float
     operators: dict
 
     def __getitem__(self, kind):
@@ -232,15 +226,7 @@ def expected_spectrum(params, shift=None):
                 np.sqrt((g_plus + shift.eps1) * (g_minus + shift.eps2)),
                 math.sqrt((1.0 + shift.eps1) * (1.0 + shift.eps2)),
             )
-    return ExpectedSpectrum(
-        lambda1_plus=lam1p,
-        lambdai_plus=lamip,
-        lambda1_minus=lam1m,
-        lambdai_minus=lamim,
-        d_plus=dp,
-        d_minus=dm,
-        operators=ops,
-    )
+    return ExpectedSpectrum(operators=ops)
 
 
 def expected_operator_dense(params, kind, shift=None):
@@ -276,7 +262,6 @@ def expected_operator_dense(params, kind, shift=None):
     if kind == "GM":
         if shift is None:
             raise ValueError("the dense geometric mean needs a shift configuration")
-        shift.require_positive()
         a = lsym + shift.eps1 * np.eye(n)
         b = qsym + shift.eps2 * np.eye(n)
         return dense_geometric_mean(a, b)

@@ -369,7 +369,7 @@ class TestInputErrors:
         assert f"{points} holds no points" in err
 
     @pytest.mark.parametrize("command, option, value, message", [
-        ("cluster", "--shift-eps1", "nan", "shifts must be nonnegative"),
+        ("cluster", "--shift-eps1", "nan", "shifts must be positive"),
         ("bench", "--tol", "inf", "tol must be in (0, 1)"),
     ])
     def test_solver_setting_out_of_range(self, tmp_path, capsys, monkeypatch,
@@ -380,6 +380,13 @@ class TestInputErrors:
         write_clique(tmp_path / "edges.txt", 4)
         err = self.run([command, *REQUIRED[command], option, value], capsys)
         assert message in err
+
+    def test_zero_shift_refused_for_every_method(self, tmp_path, capsys):
+        # the shift is checked where it is built, so SN refuses it as GM does
+        edges = write_clique(tmp_path / "edges.txt", 4)
+        err = self.run(["cluster", "--edges", edges, "--k", "2", "--method", "SN",
+                        "--shift-eps1", "0"], capsys)
+        assert "shifts must be positive" in err
 
     def test_odd_bench_size(self, capsys):
         err = self.run(["bench", "--n", "11", "--repetitions", "1"], capsys)

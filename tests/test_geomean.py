@@ -617,7 +617,7 @@ class TestInexactSteps:
         assert tolerances == [("cg", step, [])] * n_steps
 
 
-class TestJacobiPencil:
+class TestPencilWithoutKernels:
     @pytest.mark.parametrize("isolated", [False, True])
     def test_smallest_pairs_match_dense_oracle(self, isolated):
         g = sbm_graph(20, seed=23)

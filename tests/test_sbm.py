@@ -170,24 +170,20 @@ class TestExpectedGraph:
         p = params_of(3, 10, 0.8, 0.1, 0.0, 0.0)
         wp, _ = expected_graph(p)
         evals = np.sort(dense_sym_eig(wp)[0])
-        spec = expected_spectrum(p)
-        expect = np.sort(np.concatenate([
-            np.zeros(27), [spec.lambdai_plus] * 2, [spec.lambda1_plus]
-        ]))
+        # c (p_in + (k - 1) p_out) once, c (p_in - p_out) k - 1 times
+        expect = np.concatenate([np.zeros(27), [10 * 0.7] * 2, [10 * (0.8 + 2 * 0.1)]])
         np.testing.assert_allclose(evals, expect, atol=1e-9)
-        assert spec.lambda1_plus == pytest.approx(10 * (0.8 + 2 * 0.1))
-        assert spec.lambdai_plus == pytest.approx(10 * 0.7)
 
     def test_indicators_are_eigenvectors(self):
         p = params_of(4, 5, 0.6, 0.2, 0.1, 0.5)
         wp, wm = expected_graph(p)
         chi = indicator_basis(p)
-        spec = expected_spectrum(p)
         for i in range(p.k):
-            lam = spec.lambda1_plus if i == 0 else spec.lambdai_plus
-            np.testing.assert_allclose(wp @ chi[:, i], lam * chi[:, i], atol=1e-9)
-            lam = spec.lambda1_minus if i == 0 else spec.lambdai_minus
-            np.testing.assert_allclose(wm @ chi[:, i], lam * chi[:, i], atol=1e-9)
+            for w, p_in, p_out in ((wp, p.p_in_plus, p.p_out_plus),
+                                   (wm, p.p_in_minus, p.p_out_minus)):
+                lam = p.cluster_size * (p_in + (p.k - 1) * p_out if i == 0
+                                        else p_in - p_out)
+                np.testing.assert_allclose(w @ chi[:, i], lam * chi[:, i], atol=1e-9)
 
 
 class TestIndicatorBasis:
@@ -273,10 +269,11 @@ class TestConditions:
 
 class TestExpectedSpectrum:
     def test_adjacency_values(self):
+        # W+ has values 60 (the degree) and 40, W- none
         spec = expected_spectrum(params_of(2, 100, 0.5, 0.1, 0.0, 0.0))
-        assert spec.lambda1_plus == pytest.approx(60.0)
-        assert spec.lambdai_plus == pytest.approx(40.0)
-        assert spec.d_plus == pytest.approx(60.0)
+        for kind in ("SN", "BN"):
+            np.testing.assert_allclose(spec[kind].chi_values, [0.0, 20.0 / 60.0])
+            assert spec[kind].bulk == pytest.approx(1.0)
 
     def test_balanced_gm_constant_indicator_value_zero(self):
         spec = expected_spectrum(params_of(2, 10, 1.0, 0.0, 0.0, 1.0))

@@ -29,7 +29,7 @@ from .graphs import (KernelBasis, ShiftConfig, SignedGraph, laplacian,
 from .pcg import pcg_solve
 from .precond import IcPreconditioner, incomplete_cholesky
 from .sbm import (SbmParams, conditions, corollary_bound, expected_graph,
-                  expected_spectrum, indicator_basis, region_fraction, sample,
+                  expected_spectrum, indicator_basis, region_fractions, sample,
                   two_cluster_benchmark_graph)
 
 __version__ = "0.1.0"
@@ -45,7 +45,7 @@ __all__ = [
     "incomplete_cholesky", "indicator_basis", "kfn_neg_graph",
     "kmeans", "knn_pos_graph", "laplacian", "load_edge_list",
     "matrix_smallest_k_eigenpairs", "pcg_solve", "pencil_kernels",
-    "region_fraction", "sample", "shifted_pair", "signed_laplacian",
+    "region_fractions", "sample", "shifted_pair", "signed_laplacian",
     "signless_laplacian", "smallest_eigenpairs", "smallest_k_eigenpairs",
     "spectral_cluster", "two_cluster_benchmark_graph",
 ]

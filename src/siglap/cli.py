@@ -7,7 +7,11 @@ Subcommands
 ``sbm-cluster``  Monte-Carlo clustering error of the spectral methods on
                  sampled block-model graphs.
 ``cluster``      cluster one signed graph, given as an edge list or as a
-                 point cloud (nearest/farthest neighbor construction).
+                 point cloud (nearest/farthest neighbor construction), and
+                 write one ``metric,index,value`` CSV: a ``cluster_size``
+                 row per cluster (0 for an empty one), the
+                 ``majority_vote_error`` against ``--truth`` if given, and
+                 a ``label`` row per vertex.
 ``bench``        timing of the smallest-eigenvector computation on
                  two-perfect-cluster graphs of growing size, through the
                  same method-to-operator map as ``cluster``
@@ -22,12 +26,13 @@ clustered (``sbm-cluster`` and ``cluster``); ``--tol`` in ``bench`` only,
 whose solves accept each pair at it, as ``cluster`` does at
 :data:`siglap.cluster.RESID_TOL`.
 
-Every CSV starts with a ``#``-prefixed JSON line holding the full run
-configuration; rerunning with the same configuration reproduces the numeric
-columns byte for byte (wall-clock columns excepted).  Exit codes: 0 on
-success, 1 on numerical failure, 2 on usage or I/O errors, including input
-the library rejects with a ``ValueError`` (too many clusters for the graph,
-a truth file of the wrong length, a probability above 1, ...).
+Each subcommand writes one CSV, to ``--out`` or else to stdout, and it
+starts with a ``#``-prefixed JSON line holding the full run configuration;
+rerunning with the same configuration reproduces the numeric columns byte
+for byte (wall-clock columns excepted).  Exit codes: 0 on success, 1 on
+numerical failure, 2 on usage or I/O errors, including input the library
+rejects with a ``ValueError`` (too many clusters for the graph, a truth
+file of the wrong length, a probability above 1, ...).
 """
 
 import argparse
@@ -165,26 +170,11 @@ def cmd_cluster(args):
                              f"({truth.labels.size} labels, {g.n} vertices)")
     res = spectral_cluster(g, args.k, method=args.method, shift=_shift(args),
                            seed=args.seed, restarts=args.kmeans_restarts)
-    sizes = res.labels.sizes()
-    payload = {
-        "method": args.method,
-        "k": args.k,
-        "labels": res.labels.labels.tolist(),
-        "cluster_sizes": sizes.tolist(),
-        "empty_clusters": list(res.labels.empty_clusters),
-    }
-    rows = [("cluster_size", c, int(s)) for c, s in enumerate(sizes)]
+    rows = [("cluster_size", c, s) for c, s in enumerate(res.labels.sizes().tolist())]
     if truth is not None:
-        err = clustering_error(res.labels, truth)
-        payload["error"] = err
-        rows.append(("majority_vote_error", "", err))
-    if args.labels_out is None:
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        with open(args.labels_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
-    _write_csv(args.out, _config(args), ("metric", "cluster", "value"), rows)
+        rows.append(("majority_vote_error", "", clustering_error(res.labels, truth)))
+    rows += [("label", v, c) for v, c in enumerate(res.labels.labels.tolist())]
+    _write_csv(args.out, _config(args), ("metric", "index", "value"), rows)
     return 0
 
 
@@ -287,8 +277,6 @@ def build_parser():
                    help="number of clusters")
     p.add_argument("--truth", type=str, default=None,
                    help="ground-truth labels file, one integer per row")
-    p.add_argument("--labels-out", type=str, default=None,
-                   help="write the labels JSON here instead of stdout")
     _add_solver(p, kmeans=True)
     p.set_defaults(func=cmd_cluster)
 

@@ -27,11 +27,11 @@ KMEANS_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class ClusterLabels:
-    """Vertex-to-cluster assignment; empty clusters are allowed but flagged."""
+    """Vertex-to-cluster assignment over ``k`` clusters.  A cluster no
+    vertex holds is allowed; :attr:`empty_clusters` lists them."""
 
     labels: np.ndarray
     k: int
-    empty_clusters: tuple = ()
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -45,6 +45,11 @@ class ClusterLabels:
 
     def sizes(self):
         return np.bincount(self.labels, minlength=self.k)
+
+    @property
+    def empty_clusters(self):
+        """The clusters no vertex holds, ascending."""
+        return tuple(int(c) for c in np.flatnonzero(self.sizes() == 0))
 
 
 @dataclass
@@ -143,7 +148,7 @@ def kmeans(points, k, restarts=10, seed=0):
     Each run is seeded from its own child of ``seed``, and all runs iterate
     together; the first run with the lowest objective wins.  Deterministic
     given the seed.  If fewer than ``k`` distinct points exist, some
-    clusters come back empty and are flagged on the result.
+    clusters come back empty (``labels.empty_clusters``).
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.ndim != 2:
@@ -158,11 +163,8 @@ def kmeans(points, k, restarts=10, seed=0):
     labels, inertia = _lloyd(points, centers)
     best = int(np.argmin(inertia))
     # copies, so the result does not hold every restart's arrays
-    labels = labels[best].copy()
-    present = np.bincount(labels, minlength=k) > 0
-    empties = tuple(int(c) for c in np.flatnonzero(~present))
     return KmeansResult(
-        labels=ClusterLabels(labels=labels, k=k, empty_clusters=empties),
+        labels=ClusterLabels(labels=labels[best].copy(), k=k),
         centers=centers[best].copy(),
         inertia=float(inertia[best]),
     )
@@ -222,10 +224,18 @@ def kfn_neg_graph(data, k_minus):
 
 @dataclass
 class SpectralClusteringResult:
+    """The ``k`` smallest eigenpairs of ``method``'s operator and the labels
+    k-means drew from their vectors."""
+
     labels: ClusterLabels
-    embedding: np.ndarray
     eigenpairs: list
     method: str
+
+    @property
+    def embedding(self):
+        """The ``n x k`` matrix of the eigenvectors, one column per pair,
+        built anew on each read."""
+        return np.column_stack([p.vector for p in self.eigenpairs])
 
 
 # spectral_cluster's tolerance.  GM runs Lanczos' applications of the
@@ -273,11 +283,10 @@ def spectral_cluster(g, k, method="GM", shift=None, seed=0, restarts=10):
     eig_seed, km_seed = as_seed_sequence(seed).spawn(2)
     pairs = smallest_eigenpairs(g, k, method, shift=shift, tol=RESID_TOL,
                                 seed=eig_seed)
-    embedding = np.column_stack([p.vector for p in pairs])
-    km = kmeans(embedding, k, restarts=restarts, seed=km_seed)
-    return SpectralClusteringResult(
-        labels=km.labels, embedding=embedding, eigenpairs=pairs, method=method
-    )
+    km = kmeans(np.column_stack([p.vector for p in pairs]), k,
+                restarts=restarts, seed=km_seed)
+    return SpectralClusteringResult(labels=km.labels, eigenpairs=pairs,
+                                    method=method)
 
 
 def _first_data_line(path, what):

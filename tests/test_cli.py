@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import siglap.cli
+from siglap import ClusterLabels, load_edge_list, spectral_cluster
 from siglap.cli import main
 from siglap.errors import ConvergenceError
 from siglap.sbm import CONDITIONINGS, TARGETS, region_fractions
@@ -121,17 +122,20 @@ class TestClusterCommand:
     def test_edge_list_clustering(self, tmp_path):
         edges, truth = self.write_two_cliques(tmp_path)
         out = tmp_path / "metrics.csv"
-        labels_out = tmp_path / "labels.json"
         code = main(["cluster", "--edges", str(edges), "--truth", str(truth),
-                     "--k", "2", "--method", "GM", "--out", str(out),
-                     "--labels-out", str(labels_out)])
+                     "--k", "2", "--method", "GM", "--seed", "3",
+                     "--out", str(out)])
         assert code == 0
-        payload = json.loads(labels_out.read_text())
-        assert sorted(payload["cluster_sizes"]) == [4, 4]
-        assert payload["error"] == 0.0
-        _, _, rows = read_csv(out)
-        err_row = [r for r in rows if r[0] == "majority_vote_error"][0]
-        assert float(err_row[2]) == 0.0
+        _, header, rows = read_csv(out)
+        assert header == ["metric", "index", "value"]
+        assert [r[:2] for r in rows[:3]] == [
+            ["cluster_size", "0"], ["cluster_size", "1"], ["majority_vote_error", ""]]
+        assert sorted(int(r[2]) for r in rows[:2]) == [4, 4]
+        assert float(rows[2][2]) == 0.0
+        # one label row per vertex, in vertex order: the library's labels
+        assert [r[:2] for r in rows[3:]] == [["label", str(v)] for v in range(8)]
+        res = spectral_cluster(load_edge_list(edges), 2, "GM", seed=3)
+        assert [int(r[2]) for r in rows[3:]] == res.labels.labels.tolist()
 
     def test_point_cloud_clustering(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -141,26 +145,45 @@ class TestClusterCommand:
         truth = tmp_path / "truth.txt"
         truth.write_text("\n".join(["0"] * 20 + ["1"] * 20) + "\n")
         out = tmp_path / "metrics.csv"
-        labels_out = tmp_path / "labels.json"
         code = main(["cluster", "--points", str(pfile), "--k-plus", "5",
                      "--k-minus", "5", "--k", "2", "--truth", str(truth),
-                     "--out", str(out), "--labels-out", str(labels_out)])
+                     "--out", str(out)])
         assert code == 0
-        assert json.loads(labels_out.read_text())["error"] <= 0.1
+        _, _, rows = read_csv(out)
+        err_row = [r for r in rows if r[0] == "majority_vote_error"][0]
+        assert float(err_row[2]) <= 0.1
+        assert len([r for r in rows if r[0] == "label"]) == 40
 
     def test_method_name_is_case_folded(self, tmp_path):
         # as --methods is for sbm-cluster and bench
         edges, _ = self.write_two_cliques(tmp_path)
-        payloads = []
+        outputs = []
         for method in ("gm", "GM"):
-            labels_out = tmp_path / f"{method}.json"
+            out = tmp_path / f"{method}.csv"
             code = main(["cluster", "--edges", str(edges), "--k", "2",
-                         "--method", method, "--labels-out", str(labels_out),
-                         "--out", str(tmp_path / f"{method}.csv")])
+                         "--method", method, "--out", str(out)])
             assert code == 0
-            payloads.append(json.loads(labels_out.read_text()))
-        assert payloads[0] == payloads[1]
-        assert payloads[0]["method"] == "GM"
+            config, _, rows = read_csv(out)
+            assert config["method"] == "GM"
+            outputs.append(rows)
+        assert outputs[0] == outputs[1]
+        assert len([r for r in outputs[0] if r[0] == "label"]) == 8
+
+    def test_empty_cluster_is_a_zero_size_row(self, tmp_path, monkeypatch):
+        edges, _ = self.write_two_cliques(tmp_path)
+        real = siglap.cli.spectral_cluster
+
+        def one_cluster(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.labels = ClusterLabels(np.zeros(8, dtype=np.int64), k=2)
+            return res
+
+        monkeypatch.setattr(siglap.cli, "spectral_cluster", one_cluster)
+        out = tmp_path / "metrics.csv"
+        assert main(["cluster", "--edges", str(edges), "--k", "2",
+                     "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows[:2] == [["cluster_size", "0", "8"], ["cluster_size", "1", "0"]]
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = main(["cluster", "--edges", str(tmp_path / "nope.txt"), "--k", "2"])
@@ -255,12 +278,6 @@ class TestDeterminism:
         strip = lambda rows: [r[:4] + r[5:] for r in rows]
         assert strip(rows1) == strip(rows2)
 
-    def test_stdout_output(self, capsys):
-        code = main(["sbm-region", "--k", "2", "--steps", "4"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("# {")
-
 
 SBM_ARGS = ["--k", "2", "--cluster-size", "5", "--p-in-plus", "1.0",
             "--p-out-plus", "0.0", "--p-in-minus", "0.0", "--p-out-minus", "1.0"]
@@ -270,6 +287,34 @@ REQUIRED = {
     "cluster": ["--edges", "edges.txt", "--k", "2"],
     "bench": ["--n", "10"],
 }
+
+
+class TestStdout:
+    @pytest.mark.parametrize("command, argv", [
+        ("sbm-region", REQUIRED["sbm-region"]),
+        ("sbm-cluster", [*SBM_ARGS, "--runs", "1", "--methods", "GM"]),
+        ("cluster", ["--edges", "edges.txt", "--k", "2"]),
+        ("cluster", ["--points", "points.txt", "--k", "2", "--k-plus", "3",
+                     "--k-minus", "3"]),
+        ("bench", ["--n", "20", "--avg-degree", "6", "--methods", "SN",
+                   "--repetitions", "1"]),
+    ], ids=["sbm-region", "sbm-cluster", "cluster-edges", "cluster-points",
+            "bench"])
+    def test_stdout_is_one_csv(self, tmp_path, monkeypatch, capsys, command,
+                               argv):
+        # without --out the CSV goes to stdout, config line first, and
+        # nothing else does
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "edges.txt").write_text("0 1 1\n2 3 1\n0 2 -1\n1 3 -1\n")
+        np.savetxt(tmp_path / "points.txt",
+                   np.vstack([np.zeros((5, 2)), np.full((5, 2), 4.0)])
+                   + np.arange(20.0).reshape(10, 2) * 1e-2)
+        assert main([command, *argv]) == 0
+        stdout = tmp_path / "stdout.csv"
+        stdout.write_text(capsys.readouterr().out)
+        config, header, rows = read_csv(stdout)
+        assert config["command"] == command
+        assert rows and all(len(r) == len(header) for r in rows)
 
 
 class TestOptions:
@@ -287,6 +332,7 @@ class TestOptions:
         ("cluster", ["--threads", "2"]),
         ("bench", ["--threads", "2"]),
         ("sbm-region", ["--conditioning", "all"]),
+        ("cluster", ["--labels-out", "labels.json"]),
     ])
     def test_option_the_command_does_not_read_is_rejected(self, command, option,
                                                           capsys):

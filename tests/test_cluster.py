@@ -164,6 +164,10 @@ class TestKmeans:
         assert lab[0] == lab[1] and lab[2] == lab[3] and lab[0] != lab[2]
         assert res.labels.empty_clusters == ()
 
+    def test_empty_clusters_follow_the_labels(self):
+        assert ClusterLabels([0, 0, 2, 2], k=3).empty_clusters == (1,)
+        assert ClusterLabels([1, 0], k=2).empty_clusters == ()
+
     def test_identical_points_flag_empty_cluster(self):
         pts = np.zeros((4, 2))
         res = kmeans(pts, 2, seed=0)
@@ -480,6 +484,16 @@ class TestLoaders:
         lab = load_labels(p)
         assert lab.k == 2
         np.testing.assert_array_equal(lab.labels, [0, 1, 1])
+
+    def test_labels_missing_a_cluster(self, tmp_path):
+        # k counts up to the largest label, so a label no vertex holds is an
+        # empty cluster of the truth
+        p = tmp_path / "labels.txt"
+        p.write_text("0\n0\n2\n2\n")
+        lab = load_labels(p)
+        assert lab.k == 3
+        np.testing.assert_array_equal(lab.sizes(), [2, 0, 2])
+        assert lab.empty_clusters == (1,)
 
     def test_negative_labels_rejected(self, tmp_path):
         p = tmp_path / "labels.txt"

@@ -5,7 +5,8 @@ Subcommands
 ``sbm-region``   fractions of the block-model probability cube where the
                  eigenvalue-ordering conditions hold, on a discretized grid.
 ``sbm-cluster``  Monte-Carlo clustering error of the spectral methods on
-                 sampled block-model graphs.
+                 sampled block-model graphs; each run's graph is sampled
+                 once and clustered by every method.
 ``cluster``      cluster one signed graph, given as an edge list or as a
                  point cloud (nearest/farthest neighbor construction), and
                  write one ``metric,index,value`` CSV: a ``cluster_size``
@@ -15,16 +16,15 @@ Subcommands
 ``bench``        timing of the smallest-eigenvector computation on
                  two-perfect-cluster graphs of growing size, through the
                  same method-to-operator map as ``cluster``
-                 (:func:`siglap.cluster.smallest_eigenpairs`) but at its own
-                 tolerance; a cell that runs out of memory or fails
+                 (:func:`siglap.cluster.smallest_eigenpairs`) but at its
+                 default tolerance; a cell that runs out of memory or fails
                  numerically gets an ``NA`` row.
 
 Each subcommand takes only the options it reads: ``--out`` everywhere;
 ``--seed``, ``--shift-eps1`` and ``--shift-eps2`` wherever eigenvectors are
-computed (all but ``sbm-region``); ``--kmeans-restarts`` where they are
-clustered (``sbm-cluster`` and ``cluster``); ``--tol`` in ``bench`` only,
-whose solves accept each pair at it, as ``cluster`` does at
-:data:`siglap.cluster.RESID_TOL`.
+computed (all but ``sbm-region``).  No option sets a tolerance: ``cluster``
+and ``sbm-cluster`` accept each pair at :data:`siglap.cluster.RESID_TOL`,
+``bench`` at :data:`siglap.geomean.DEFAULT_IPM_TOL`.
 
 Each subcommand writes one CSV, to ``--out`` or else to stdout, and it
 starts with a ``#``-prefixed JSON line holding the full run configuration;
@@ -48,7 +48,6 @@ from .cluster import (METHODS, clustering_error, kfn_neg_graph, knn_pos_graph,
                       load_labels, load_points, smallest_eigenpairs,
                       spectral_cluster)
 from .errors import ConvergenceError, IndefiniteOperatorError
-from .geomean import DEFAULT_IPM_TOL
 from .graphs import ShiftConfig, SignedGraph, load_edge_list
 from .sbm import SbmParams, region_fractions, sample, two_cluster_benchmark_graph
 
@@ -87,9 +86,8 @@ def _add_out(parser):
                         help="output CSV path (default: stdout)")
 
 
-def _add_solver(parser, kmeans):
-    """Options of the commands that compute eigenvectors (and, with
-    ``kmeans``, cluster them)."""
+def _add_solver(parser):
+    """Options of the commands that compute eigenvectors."""
     shift = ShiftConfig()
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument("--shift-eps1", type=float, default=shift.eps1,
@@ -97,9 +95,6 @@ def _add_solver(parser, kmeans):
     parser.add_argument("--shift-eps2", type=float, default=shift.eps2,
                         help="diagonal shift on the normalized signless negative "
                              "Laplacian (GM)")
-    if kmeans:
-        parser.add_argument("--kmeans-restarts", type=_positive_int(1), default=10,
-                            help="k-means runs from fresh seeds; the best is kept")
     _add_out(parser)
 
 
@@ -119,37 +114,35 @@ def cmd_sbm_region(args):
     return 0
 
 
-def _run_one_cluster_cell(params, method, run_seed, args, truth):
-    graph_seed, cluster_seed = as_seed_sequence(run_seed).spawn(2)
-    g = sample(params, graph_seed)
-    start = time.perf_counter()
-    res = spectral_cluster(g, params.k, method=method, shift=_shift(args),
-                           seed=cluster_seed, restarts=args.kmeans_restarts)
-    seconds = time.perf_counter() - start
-    return clustering_error(res.labels, truth), seconds
-
-
 def cmd_sbm_cluster(args):
     params = _sbm_params(args)
     truth = np.repeat(np.arange(params.k), params.cluster_size)
-    run_seeds = as_seed_sequence(args.seed).spawn(args.runs)
-    rows = []
-    for method in args.methods:
-        errors = []
-        for r, run_seed in enumerate(run_seeds):
+    # each run's graph is sampled once and clustered by every method; the
+    # rows are kept per method, so the CSV stays method-major
+    rows = [[] for _ in args.methods]
+    for r, run_seed in enumerate(as_seed_sequence(args.seed).spawn(args.runs)):
+        graph_seed, cluster_seed = run_seed.spawn(2)
+        g = sample(params, graph_seed)
+        for method, method_rows in zip(args.methods, rows):
+            start = time.perf_counter()
             try:
-                err, seconds = _run_one_cluster_cell(params, method, run_seed,
-                                                     args, truth)
+                res = spectral_cluster(g, params.k, method=method,
+                                       shift=_shift(args), seed=cluster_seed)
             except NUMERIC_FAILURES as exc:
-                rows.append((method, r, args.seed, "NA", "NA",
-                             f"failed: {type(exc).__name__}"))
+                method_rows.append((method, r, args.seed, "NA", "NA",
+                                    f"failed: {type(exc).__name__}"))
                 continue
-            rows.append((method, r, args.seed, err, seconds, "ok"))
-            errors.append(err)
+            seconds = time.perf_counter() - start
+            method_rows.append((method, r, args.seed,
+                                clustering_error(res.labels, truth), seconds, "ok"))
+        del g  # so the next run's graph is not sampled while this one lives
+    table = []
+    for method, method_rows in zip(args.methods, rows):
+        errors = [row[3] for row in method_rows if row[5] == "ok"]
         median = statistics.median(errors) if errors else "NA"
-        rows.append((method, "median", args.seed, median, "", ""))
+        table += method_rows + [(method, "median", args.seed, median, "", "")]
     _write_csv(args.out, _config(args),
-               ("method", "run", "seed", "error", "seconds", "status"), rows)
+               ("method", "run", "seed", "error", "seconds", "status"), table)
     return 0
 
 
@@ -169,7 +162,7 @@ def cmd_cluster(args):
             raise ValueError(f"--truth and the graph differ in length "
                              f"({truth.labels.size} labels, {g.n} vertices)")
     res = spectral_cluster(g, args.k, method=args.method, shift=_shift(args),
-                           seed=args.seed, restarts=args.kmeans_restarts)
+                           seed=args.seed)
     rows = [("cluster_size", c, s) for c, s in enumerate(res.labels.sizes().tolist())]
     if truth is not None:
         rows.append(("majority_vote_error", "", clustering_error(res.labels, truth)))
@@ -181,12 +174,12 @@ def cmd_cluster(args):
 def _time_smallest_eigenvector(g, method, args):
     shift = _shift(args)
     start = time.perf_counter()
-    pair = smallest_eigenpairs(g, 1, method, shift=shift, tol=args.tol)[0]
+    pair = smallest_eigenpairs(g, 1, method, shift=shift)[0]
     return time.perf_counter() - start, pair.iterations
 
 
 def cmd_bench(args):
-    if sorted(args.n) != list(args.n):
+    if any(a >= b for a, b in zip(args.n, args.n[1:])):
         raise UsageError("--n values must be ascending")
     rows = []
     for n in args.n:
@@ -258,8 +251,8 @@ def build_parser():
     p.add_argument("--methods", type=_methods_list, default=METHODS,
                    help=f"comma-separated subset of {','.join(METHODS)}")
     p.add_argument("--runs", type=_positive_int(1), default=50,
-                   help="sampled graphs per method")
-    _add_solver(p, kmeans=True)
+                   help="sampled graphs, each clustered by every method")
+    _add_solver(p)
     p.set_defaults(func=cmd_sbm_cluster)
 
     p = sub.add_parser("cluster", help="cluster one signed graph")
@@ -277,7 +270,7 @@ def build_parser():
                    help="number of clusters")
     p.add_argument("--truth", type=str, default=None,
                    help="ground-truth labels file, one integer per row")
-    _add_solver(p, kmeans=True)
+    _add_solver(p)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser(
@@ -295,9 +288,7 @@ def build_parser():
                    help=f"comma-separated subset of {','.join(METHODS)}")
     p.add_argument("--repetitions", type=_positive_int(1), default=10,
                    help="timed solves per cell; the median is reported")
-    p.add_argument("--tol", type=float, default=DEFAULT_IPM_TOL,
-                   help="eigensolver tolerance")
-    _add_solver(p, kmeans=False)
+    _add_solver(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -23,6 +23,13 @@ METHODS = SIGNED_KINDS + ("GM",)
 # KMEANS_RTOL in one step, or after KMEANS_MAX_ITER steps
 KMEANS_MAX_ITER = 300
 KMEANS_RTOL = 1e-9
+# k-means runs from fresh seeds, the best kept: kmeans' default and the
+# count spectral_cluster uses
+KMEANS_RESTARTS = 10
+# a neighbor graph's distance, key and argsort arrays are built in blocks of
+# whole rows, NEIGHBOR_BLOCK entries (32 MB of float64) at most, not n x n;
+# up to 2048 points one block holds every row
+NEIGHBOR_BLOCK = 2**22
 
 
 @dataclass(frozen=True)
@@ -142,7 +149,7 @@ def _lloyd(points, centers):
     return labels, inertia
 
 
-def kmeans(points, k, restarts=10, seed=0):
+def kmeans(points, k, restarts=KMEANS_RESTARTS, seed=0):
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` runs.
 
     Each run is seeded from its own child of ``seed``, and all runs iterate
@@ -199,12 +206,18 @@ def _neighbor_graph(data, k_neigh, farthest):
     if not np.isfinite(data).all():
         raise ValueError("points must have finite coordinates")
     sq = np.sum(data**2, axis=1)
-    d2 = np.maximum(sq[:, None] - 2.0 * data @ data.T + sq[None, :], 0.0)
-    np.fill_diagonal(d2, -np.inf if farthest else np.inf)
-    key = -d2 if farthest else d2
-    # a stable sort keeps equal distances in index order: ties go to the
-    # smaller index
-    cols = np.argsort(key, axis=1, kind="stable")[:, :k_neigh].ravel()
+    step = max(1, NEIGHBOR_BLOCK // n)
+    cols = np.empty((n, k_neigh), dtype=np.intp)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        d2 = np.maximum(sq[lo:hi, None] - 2.0 * data[lo:hi] @ data.T + sq[None, :],
+                        0.0)
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf if farthest else np.inf
+        key = -d2 if farthest else d2
+        # a stable sort keeps equal distances in index order: ties go to the
+        # smaller index
+        cols[lo:hi] = np.argsort(key, axis=1, kind="stable")[:, :k_neigh]
+    cols = cols.ravel()
     rows = np.repeat(np.arange(n), k_neigh)
     # union symmetrization: a pair listed in both orientations sums to 2,
     # so the structure is the union and every value is then reset to 1
@@ -229,7 +242,6 @@ class SpectralClusteringResult:
 
     labels: ClusterLabels
     eigenpairs: list
-    method: str
 
     @property
     def embedding(self):
@@ -269,12 +281,12 @@ def smallest_eigenpairs(g, k, method, shift=None, tol=DEFAULT_IPM_TOL,
         seed=seed)
 
 
-def spectral_cluster(g, k, method="GM", shift=None, seed=0, restarts=10):
+def spectral_cluster(g, k, method="GM", shift=None, seed=0):
     """Cluster a signed graph from the k smallest eigenvectors of an operator.
 
     ``method`` selects the operator (see :func:`smallest_eigenpairs`), solved
     with ``tol=RESID_TOL``; the embedding rows are then clustered with
-    k-means.
+    k-means, best of ``KMEANS_RESTARTS`` runs.
     """
     if g.n == 0:
         raise ValueError("graph is empty")
@@ -284,9 +296,8 @@ def spectral_cluster(g, k, method="GM", shift=None, seed=0, restarts=10):
     pairs = smallest_eigenpairs(g, k, method, shift=shift, tol=RESID_TOL,
                                 seed=eig_seed)
     km = kmeans(np.column_stack([p.vector for p in pairs]), k,
-                restarts=restarts, seed=km_seed)
-    return SpectralClusteringResult(labels=km.labels, eigenpairs=pairs,
-                                    method=method)
+                restarts=KMEANS_RESTARTS, seed=km_seed)
+    return SpectralClusteringResult(labels=km.labels, eigenpairs=pairs)
 
 
 def _first_data_line(path, what):

@@ -8,7 +8,7 @@ import siglap.cli
 from siglap import ClusterLabels, load_edge_list, spectral_cluster
 from siglap.cli import main
 from siglap.errors import ConvergenceError
-from siglap.sbm import CONDITIONINGS, TARGETS, region_fractions
+from siglap.sbm import CONDITIONINGS, TARGETS, region_fractions, sample
 
 
 def read_csv(path):
@@ -93,14 +93,36 @@ class TestSbmCluster:
 
         assert gm_errors("GM") == gm_errors("SN,GM")
 
-    @pytest.mark.parametrize("restarts", ["0", "-2"])
-    def test_kmeans_restarts_below_one_is_usage_error(self, restarts):
-        with pytest.raises(SystemExit) as exc:
-            main(["sbm-cluster", "--k", "2", "--cluster-size", "5",
-                  "--p-in-plus", "1.0", "--p-out-plus", "0.0",
-                  "--p-in-minus", "0.0", "--p-out-minus", "1.0",
-                  "--kmeans-restarts", restarts])
-        assert exc.value.code == 2
+    def test_each_run_is_sampled_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_sample(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(siglap.cli, "sample", counting_sample)
+        assert main(["sbm-cluster", *SBM_ARGS, "--methods", "GM,AM,SN",
+                     "--runs", "3", "--out", str(tmp_path / "runs.csv")]) == 0
+        assert len(calls) == 3
+
+    def test_rows_are_pinned(self, tmp_path):
+        # the rows as written when each (method, run) sampled its own graph,
+        # the seconds column left out
+        out = tmp_path / "runs.csv"
+        assert main(["sbm-cluster", "--k", "3", "--cluster-size", "15",
+                     "--p-in-plus", "0.4", "--p-out-plus", "0.25",
+                     "--p-in-minus", "0.25", "--p-out-minus", "0.4",
+                     "--runs", "2", "--seed", "9", "--methods", "GM,BN",
+                     "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [r[:4] + r[5:] for r in rows] == [
+            ["GM", "0", "9", "0.28888888888888886", "ok"],
+            ["GM", "1", "9", "0.46666666666666667", "ok"],
+            ["GM", "median", "9", "0.37777777777777777", ""],
+            ["BN", "0", "9", "0.42222222222222222", "ok"],
+            ["BN", "1", "9", "0.35555555555555557", "ok"],
+            ["BN", "median", "9", "0.3888888888888889", ""],
+        ]
 
 
 class TestClusterCommand:
@@ -233,9 +255,13 @@ class TestBench:
         assert len(rows) == 1
         assert float(rows[0][2]) > 0.0
 
-    def test_descending_sizes_rejected(self, tmp_path, capsys):
-        code = main(["bench", "--n", "400", "--n", "200", "--repetitions", "1"])
+    @pytest.mark.parametrize("sizes", [["400", "200"], ["1000", "1000"]],
+                             ids=["descending", "repeated"])
+    def test_sizes_not_ascending_rejected(self, capsys, sizes):
+        code = main(["bench", "--n", sizes[0], "--n", sizes[1],
+                     "--repetitions", "1"])
         assert code == 2
+        assert "must be ascending" in capsys.readouterr().err
 
     def test_numerical_failure_writes_na_row(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -333,6 +359,9 @@ class TestOptions:
         ("bench", ["--threads", "2"]),
         ("sbm-region", ["--conditioning", "all"]),
         ("cluster", ["--labels-out", "labels.json"]),
+        ("sbm-cluster", ["--kmeans-restarts", "2"]),
+        ("cluster", ["--kmeans-restarts", "2"]),
+        ("bench", ["--tol", "1e-6"]),
     ])
     def test_option_the_command_does_not_read_is_rejected(self, command, option,
                                                           capsys):
@@ -418,7 +447,6 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command, option, value, message", [
         ("cluster", "--shift-eps1", "nan", "shifts must be positive"),
-        ("bench", "--tol", "inf", "tol must be in (0, 1)"),
     ])
     def test_solver_setting_out_of_range(self, tmp_path, capsys, monkeypatch,
                                          command, option, value, message):

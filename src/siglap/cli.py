@@ -18,13 +18,15 @@ Subcommands
                  same method-to-operator map as ``cluster``
                  (:func:`siglap.cluster.smallest_eigenpairs`) but at its
                  default tolerance; a cell that runs out of memory or fails
-                 numerically gets an ``NA`` row.
+                 numerically gets an ``NA`` row, and so does every method
+                 at a size whose graph does not fit.
 
-Each subcommand takes only the options it reads: ``--out`` everywhere;
-``--seed``, ``--shift-eps1`` and ``--shift-eps2`` wherever eigenvectors are
-computed (all but ``sbm-region``).  No option sets a tolerance: ``cluster``
-and ``sbm-cluster`` accept each pair at :data:`siglap.cluster.RESID_TOL`,
-``bench`` at :data:`siglap.geomean.DEFAULT_IPM_TOL`.
+Each subcommand takes only the options it reads: ``--out`` everywhere,
+``--seed`` wherever eigenvectors are computed (all but ``sbm-region``).  No
+option sets a tolerance or a shift: ``cluster`` and ``sbm-cluster`` accept
+each pair at :data:`siglap.cluster.RESID_TOL`, ``bench`` at
+:data:`siglap.geomean.DEFAULT_IPM_TOL`, and GM runs at
+:class:`siglap.graphs.ShiftConfig`'s default shifts.
 
 Each subcommand writes one CSV, to ``--out`` or else to stdout, and it
 starts with a ``#``-prefixed JSON line holding the full run configuration;
@@ -48,7 +50,7 @@ from .cluster import (METHODS, clustering_error, kfn_neg_graph, knn_pos_graph,
                       load_labels, load_points, smallest_eigenpairs,
                       spectral_cluster)
 from .errors import ConvergenceError, IndefiniteOperatorError
-from .graphs import ShiftConfig, SignedGraph, load_edge_list
+from .graphs import SignedGraph, load_edge_list
 from .sbm import SbmParams, region_fractions, sample, two_cluster_benchmark_graph
 
 NUMERIC_FAILURES = (ConvergenceError, IndefiniteOperatorError, np.linalg.LinAlgError)
@@ -77,10 +79,6 @@ def _config(args, exclude=("func",)):
     return {k: v for k, v in vars(args).items() if k not in exclude}
 
 
-def _shift(args):
-    return ShiftConfig(args.shift_eps1, args.shift_eps2)
-
-
 def _add_out(parser):
     parser.add_argument("--out", type=str, default=None,
                         help="output CSV path (default: stdout)")
@@ -88,13 +86,7 @@ def _add_out(parser):
 
 def _add_solver(parser):
     """Options of the commands that compute eigenvectors."""
-    shift = ShiftConfig()
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--shift-eps1", type=float, default=shift.eps1,
-                        help="diagonal shift on the normalized positive Laplacian (GM)")
-    parser.add_argument("--shift-eps2", type=float, default=shift.eps2,
-                        help="diagonal shift on the normalized signless negative "
-                             "Laplacian (GM)")
     _add_out(parser)
 
 
@@ -127,7 +119,7 @@ def cmd_sbm_cluster(args):
             start = time.perf_counter()
             try:
                 res = spectral_cluster(g, params.k, method=method,
-                                       shift=_shift(args), seed=cluster_seed)
+                                       seed=cluster_seed)
             except NUMERIC_FAILURES as exc:
                 method_rows.append((method, r, args.seed, "NA", "NA",
                                     f"failed: {type(exc).__name__}"))
@@ -161,8 +153,7 @@ def cmd_cluster(args):
         if truth.labels.shape != (g.n,):
             raise ValueError(f"--truth and the graph differ in length "
                              f"({truth.labels.size} labels, {g.n} vertices)")
-    res = spectral_cluster(g, args.k, method=args.method, shift=_shift(args),
-                           seed=args.seed)
+    res = spectral_cluster(g, args.k, method=args.method, seed=args.seed)
     rows = [("cluster_size", c, s) for c, s in enumerate(res.labels.sizes().tolist())]
     if truth is not None:
         rows.append(("majority_vote_error", "", clustering_error(res.labels, truth)))
@@ -171,10 +162,9 @@ def cmd_cluster(args):
     return 0
 
 
-def _time_smallest_eigenvector(g, method, args):
-    shift = _shift(args)
+def _time_smallest_eigenvector(g, method):
     start = time.perf_counter()
-    pair = smallest_eigenpairs(g, 1, method, shift=shift)[0]
+    pair = smallest_eigenpairs(g, 1, method)[0]
     return time.perf_counter() - start, pair.iterations
 
 
@@ -183,10 +173,14 @@ def cmd_bench(args):
         raise UsageError("--n values must be ascending")
     rows = []
     for n in args.n:
-        g, _ = two_cluster_benchmark_graph(n, args.avg_degree, seed=args.seed)
+        try:
+            g, _ = two_cluster_benchmark_graph(n, args.avg_degree, seed=args.seed)
+        except MemoryError:  # the smaller sizes' rows are kept
+            rows += [(n, method, "NA", "NA") for method in args.methods]
+            continue
         for method in args.methods:
             try:
-                samples = [_time_smallest_eigenvector(g, method, args)
+                samples = [_time_smallest_eigenvector(g, method)
                            for _ in range(args.repetitions)]
                 med = statistics.median(s for s, _ in samples)
                 rows.append((n, method, med, samples[0][1]))

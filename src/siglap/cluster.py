@@ -26,8 +26,8 @@ KMEANS_RTOL = 1e-9
 # k-means runs from fresh seeds, the best kept: kmeans' default and the
 # count spectral_cluster uses
 KMEANS_RESTARTS = 10
-# a neighbor graph's distance, key and argsort arrays are built in blocks of
-# whole rows, NEIGHBOR_BLOCK entries (32 MB of float64) at most, not n x n;
+# a neighbor graph's distance keys are built in blocks of whole rows,
+# NEIGHBOR_BLOCK entries (32 MB of float64) at most, not n x n;
 # up to 2048 points one block holds every row
 NEIGHBOR_BLOCK = 2**22
 
@@ -198,6 +198,28 @@ def clustering_error(pred, truth):
     return wrong / n
 
 
+def _block_neighbors(data, sq, lo, hi, k_neigh, farthest):
+    # the k nearest or farthest neighbors of the points lo:hi, smaller
+    # indices first among equal distances; the block's arrays die on return
+    key = np.maximum(sq[lo:hi, None] - 2.0 * data[lo:hi] @ data.T + sq[None, :],
+                     0.0)
+    if farthest:
+        np.negative(key, out=key)
+    key[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+    # each row keeps its keys up to its k-th smallest (indexing with a list
+    # copies those out, so the partitioned array is freed at once) ...
+    kth = np.partition(key, k_neigh - 1, axis=1)[:, [k_neigh - 1]]
+    keep = key <= kth
+    # ... and where more keys equal the k-th than fit, the smaller indices
+    # among them: the set a stable sort would keep
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k_neigh)
+    row_keys, row_kth = key[over], kth[over]
+    tie = row_keys == row_kth
+    room = k_neigh - np.count_nonzero(row_keys < row_kth, axis=1)
+    keep[over] &= ~tie | (np.cumsum(tie, axis=1) <= room[:, None])
+    return np.nonzero(keep)[1].reshape(hi - lo, k_neigh)
+
+
 def _neighbor_graph(data, k_neigh, farthest):
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     n = data.shape[0]
@@ -210,13 +232,7 @@ def _neighbor_graph(data, k_neigh, farthest):
     cols = np.empty((n, k_neigh), dtype=np.intp)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        d2 = np.maximum(sq[lo:hi, None] - 2.0 * data[lo:hi] @ data.T + sq[None, :],
-                        0.0)
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf if farthest else np.inf
-        key = -d2 if farthest else d2
-        # a stable sort keeps equal distances in index order: ties go to the
-        # smaller index
-        cols[lo:hi] = np.argsort(key, axis=1, kind="stable")[:, :k_neigh]
+        cols[lo:hi] = _block_neighbors(data, sq, lo, hi, k_neigh, farthest)
     cols = cols.ravel()
     rows = np.repeat(np.arange(n), k_neigh)
     # union symmetrization: a pair listed in both orientations sums to 2,

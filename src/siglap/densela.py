@@ -1,9 +1,10 @@
 """Small dense symmetric linear algebra: eigensolves, matrix roots, and the
 dense geometric-mean oracle.
 
-Everything here is O(n^3) and guarded by :data:`ORACLE_CAP`; the sparse
-solvers never call into this module except for the tiny projected matrices
-they build themselves.
+Everything here is O(n^3) and guarded by :data:`ORACLE_CAP`.  No sparse
+solver imports this module: their small projected matrices go straight to
+numpy.  It serves the tests and the dense expected-matrix operators of
+:mod:`siglap.sbm`.
 """
 
 import numpy as np

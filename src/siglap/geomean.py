@@ -42,7 +42,9 @@ of ``A # B``; :func:`apply_geometric_mean` measures a pair where a caller
 needs it.  The Ritz value carries the applications' error to first order:
 at a step tolerance of 1e-6 it stayed within 6e-7 relative of the dense
 oracle on every graph measured.  On a single matrix ``rtol`` is the CG
-tolerance, and values and residuals are measured exactly, with products.
+tolerance, and the pairs come from one Rayleigh-Ritz step on the span of
+the inverse iteration's vectors, their values and residuals measured with
+products.
 
 Every inner system of the pencil is solved exactly on known eigenvectors,
 for a signed graph the kernels of ``Lsym+`` and ``Qsym-`` whose shifts
@@ -55,10 +57,10 @@ they save.
 :func:`smallest_k_eigenpairs` (the pencil) runs Lanczos;
 :func:`matrix_smallest_k_eigenpairs` (one sparse symmetric matrix, the
 explicit operators of the clustering front end) still runs sequential
-deflated inverse iteration with IC(0) preconditioned inner solves.
+deflated inverse iteration with IC(0) preconditioned inner solves, then
+that Rayleigh-Ritz step.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -406,8 +408,11 @@ class EigenPair:
     """Computed eigenpair with its achieved residual, measured or
     estimated, never assumed.
 
-    For a single matrix, ``value`` and ``residual`` are measured exactly,
-    with a product.  For the pencil, ``value`` is ``1 / theta`` for Lanczos'
+    For a single matrix, the pair is a Ritz pair of the span of the ``k``
+    inverse-iteration vectors: ``value`` is its Ritz value, which is an
+    eigenvalue to second order in the vectors' error even where they still
+    rotate inside a cluster, and ``residual`` is measured from the products
+    of that span.  For the pencil, ``value`` is ``1 / theta`` for Lanczos'
     Ritz value ``theta`` of ``(A # B)^-1``, and ``residual`` is the estimate
     ``norm_bound (||r|| + e) / theta`` of ``||(A # B) x - value x||``.  Here
     ``r = y - theta x`` is the Ritz residual Lanczos holds for the image
@@ -423,7 +428,8 @@ class EigenPair:
     pair of a 12-vertex two-clique graph whose residual is 2e-12.  On every
     graph measured, the estimate was at least 4 times the dense residual.
     ``iterations`` counts applications of the inverse: for the pencil, all
-    those of the call; for a single matrix, those of this pair's iteration.
+    those of the call; for a single matrix, those of the i-th inverse
+    iteration for the i-th pair, so their sum is the call's.
     """
 
     value: float
@@ -628,16 +634,18 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
     """The ``k`` smallest eigenpairs of one sparse symmetric matrix.
 
     Sequential deflated inverse iteration on ``m + sigma I`` with IC(0)
-    preconditioned inner solves; each pair starts from one child of
-    ``seed``.  ``definite=True`` asserts ``m`` is positive semidefinite and
-    uses ``sigma = MATRIX_SHIFT``; otherwise a Gershgorin bound raises the
-    shift until the iteration matrix is strictly diagonally dominant.  IC(0)
-    exists for the shifted SN, BN and AM operators (see
-    :mod:`siglap.precond`); where it breaks down, this raises
-    :class:`~siglap.errors.IndefiniteOperatorError`.  Values and residuals
-    refer to ``m`` itself, measured exactly with ``m.matvec``; each vector
-    is accepted at a backward error of ``tol`` (see
-    :func:`_inverse_iteration`).
+    preconditioned inner solves, each vector started from one child of
+    ``seed``, then one Rayleigh-Ritz step: the ``k`` products ``m X`` of
+    the vectors ``X``, the eigenpairs ``(theta, c)`` of ``sym(X' m X)``,
+    and the pairs ``(theta, X c)``, ascending.  ``definite=True`` asserts
+    ``m`` is positive semidefinite and uses ``sigma = MATRIX_SHIFT``;
+    otherwise a Gershgorin bound raises the shift until the iteration
+    matrix is strictly diagonally dominant.  IC(0) exists for the shifted
+    SN, BN and AM operators (see :mod:`siglap.precond`); where it breaks
+    down, this raises :class:`~siglap.errors.IndefiniteOperatorError`.
+    Values and residuals refer to ``m`` itself, measured from the rotated
+    products; each inverse-iteration vector is accepted at a backward error
+    of ``tol`` (see :func:`_inverse_iteration`).
     """
     _check_request(m.n, k, tol)
     sigma = MATRIX_SHIFT
@@ -652,12 +660,17 @@ def matrix_smallest_k_eigenpairs(m, k, definite=True, tol=DEFAULT_IPM_TOL,
         return pcg_solve(shifted, x, pc, tol=rtol)[0]
 
     basis = np.empty((m.n, 0))
-    pairs = []
+    steps = []
     for child in as_seed_sequence(seed).spawn(k):
         x, iters = _inverse_iteration(inv_apply, basis, tol, child)
         basis = np.column_stack([basis, x])
-        pairs.append(_measured_pair(x, m.matvec(x), iters))
-    if np.any(np.diff([p.value for p in pairs]) < -1e-8):
-        warnings.warn("eigenvalues returned out of order beyond 1e-8; "
-                      "deflation quality is suspect", stacklevel=2)
-    return pairs
+        steps.append(iters)
+    # one Rayleigh-Ritz step on the span of the k vectors: the Ritz values
+    # come out ascending, and eigenvalues even where a vector still rotates
+    # inside a cluster
+    images = np.column_stack([m.matvec(x) for x in basis.T])
+    h = basis.T @ images
+    _, c = np.linalg.eigh(0.5 * (h + h.T))
+    basis, images = basis @ c, images @ c
+    return [_measured_pair(basis[:, i].copy(), images[:, i], iters)
+            for i, iters in enumerate(steps)]

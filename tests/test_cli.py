@@ -282,6 +282,27 @@ class TestBench:
             else:
                 assert r[2:] == ["NA", "NA"]
 
+    def test_graph_out_of_memory_writes_na_rows(self, tmp_path, monkeypatch):
+        build = siglap.cli.two_cluster_benchmark_graph
+
+        def build_or_fail(n, *args, **kwargs):
+            if n == 200:
+                raise MemoryError
+            return build(n, *args, **kwargs)
+
+        monkeypatch.setattr(siglap.cli, "two_cluster_benchmark_graph",
+                            build_or_fail)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--n", "100", "--n", "200", "--avg-degree", "10",
+                     "--methods", "SN,GM", "--repetitions", "1",
+                     "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_csv(out)
+        assert [r[:2] for r in rows] == [["100", "SN"], ["100", "GM"],
+                                         ["200", "SN"], ["200", "GM"]]
+        assert all(float(r[2]) > 0.0 for r in rows[:2])
+        assert [r[2:] for r in rows[2:]] == [["NA", "NA"], ["NA", "NA"]]
+
     def test_median_of_repetitions(self, tmp_path):
         out = tmp_path / "bench.csv"
         main(["bench", "--n", "200", "--avg-degree", "10", "--methods", "SN",
@@ -362,6 +383,12 @@ class TestOptions:
         ("sbm-cluster", ["--kmeans-restarts", "2"]),
         ("cluster", ["--kmeans-restarts", "2"]),
         ("bench", ["--tol", "1e-6"]),
+        ("sbm-cluster", ["--shift-eps1", "1e-3"]),
+        ("sbm-cluster", ["--shift-eps2", "1e-3"]),
+        ("cluster", ["--shift-eps1", "1e-3"]),
+        ("cluster", ["--shift-eps2", "1e-3"]),
+        ("bench", ["--shift-eps1", "1e-3"]),
+        ("bench", ["--shift-eps2", "1e-3"]),
     ])
     def test_option_the_command_does_not_read_is_rejected(self, command, option,
                                                           capsys):
@@ -444,25 +471,6 @@ class TestInputErrors:
             err = self.run(["cluster", "--points", str(points), "--k", "2"],
                            capsys)
         assert f"{points} holds no points" in err
-
-    @pytest.mark.parametrize("command, option, value, message", [
-        ("cluster", "--shift-eps1", "nan", "shifts must be positive"),
-    ])
-    def test_solver_setting_out_of_range(self, tmp_path, capsys, monkeypatch,
-                                         command, option, value, message):
-        # a NaN shift would otherwise reach CG and exit 1 as a numerical
-        # failure
-        monkeypatch.chdir(tmp_path)
-        write_clique(tmp_path / "edges.txt", 4)
-        err = self.run([command, *REQUIRED[command], option, value], capsys)
-        assert message in err
-
-    def test_zero_shift_refused_for_every_method(self, tmp_path, capsys):
-        # the shift is checked where it is built, so SN refuses it as GM does
-        edges = write_clique(tmp_path / "edges.txt", 4)
-        err = self.run(["cluster", "--edges", edges, "--k", "2", "--method", "SN",
-                        "--shift-eps1", "0"], capsys)
-        assert "shifts must be positive" in err
 
     def test_odd_bench_size(self, capsys):
         err = self.run(["bench", "--n", "11", "--repetitions", "1"], capsys)

@@ -299,23 +299,30 @@ class TestNeighborGraphs:
             knn_pos_graph(np.zeros((3, 1)), 3)
 
     @pytest.mark.parametrize("farthest", [False, True], ids=["knn", "kfn"])
-    @pytest.mark.parametrize("block", [1, 7 * 50], ids=["row", "seven-rows"])
+    @pytest.mark.parametrize("block_rows", [1, 7], ids=["row", "seven-rows"])
+    @pytest.mark.parametrize("cloud, k", [("integers", 6), ("integers", 1),
+                                          ("lattice", 6), ("lattice", 1)])
     def test_row_blocks_give_the_one_block_graph(self, monkeypatch, farthest,
-                                                 block):
+                                                 block_rows, cloud, k):
         # integer coordinates make every distance exact and many tie, so the
         # blocks must pick the same neighbors, smaller index first
-        pts = np.random.default_rng(4).integers(0, 4, size=(50, 3)).astype(float)
+        if cloud == "integers":
+            pts = np.random.default_rng(4).integers(0, 4, size=(50, 3)).astype(float)
+        else:
+            pts = np.stack(np.meshgrid(np.arange(20.0), np.arange(20.0)),
+                           axis=-1).reshape(-1, 2)
+        n = pts.shape[0]
         build = kfn_neg_graph if farthest else knn_pos_graph
-        one = build(pts, 6)
-        expect = np.zeros((50, 50))
-        for i in range(50):
+        one = build(pts, k)
+        expect = np.zeros((n, n))
+        for i in range(n):
             d2 = np.sum((pts - pts[i]) ** 2, axis=1)
-            picked = sorted((j for j in range(50) if j != i),
-                            key=lambda j: (-d2[j] if farthest else d2[j], j))[:6]
+            picked = sorted((j for j in range(n) if j != i),
+                            key=lambda j: (-d2[j] if farthest else d2[j], j))[:k]
             expect[i, picked] = expect[picked, i] = 1.0
         np.testing.assert_array_equal(one.to_dense(), expect)
-        monkeypatch.setattr(cluster, "NEIGHBOR_BLOCK", block)
-        blocked = build(pts, 6)
+        monkeypatch.setattr(cluster, "NEIGHBOR_BLOCK", block_rows * n)
+        blocked = build(pts, k)
         for name in ("row_ptr", "col_idx", "values"):
             np.testing.assert_array_equal(getattr(blocked, name), getattr(one, name))
 

@@ -979,6 +979,22 @@ class TestMatrixEigensolver:
         w = dense_sym_eig(m.to_dense())[0]
         np.testing.assert_allclose([p.value for p in pairs], w[:3], atol=1e-7)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_in_a_cluster_are_eigenvalues(self, seed):
+        # three eigenvalues 0.5% apart: at a backward error of 1e-4 each
+        # vector still rotates inside the cluster, and the Rayleigh quotients
+        # of the unrotated vectors read 2.6e-6 off
+        lam = np.concatenate([[0.1, 0.3866, 0.3885, 0.39],
+                              np.linspace(0.6, 1.8, 56)])
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        dense = q @ np.diag(lam) @ q.T
+        m = SparseSymMatrix.from_dense(0.5 * (dense + dense.T))
+        pairs = matrix_smallest_k_eigenpairs(m, 4, tol=1e-4, seed=seed)
+        np.testing.assert_allclose([p.value for p in pairs],
+                                   np.linalg.eigvalsh(m.to_dense())[:4],
+                                   rtol=1e-6, atol=0.0)
+
     def test_indefinite_matrix_needs_flag(self):
         # one negative edge: the balance-normalized operator has eigenvalues -1, 1
         wm = SparseSymMatrix.from_undirected_edges(2, [0], [1], [1.0])

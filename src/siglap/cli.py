@@ -22,9 +22,11 @@ Subcommands
                  at a size whose graph does not fit.
 
 Each subcommand takes only the options it reads: ``--out`` everywhere,
-``--seed`` wherever eigenvectors are computed (all but ``sbm-region``).  No
-option sets a tolerance or a shift: ``cluster`` and ``sbm-cluster`` accept
-each pair at :data:`siglap.cluster.RESID_TOL`, ``bench`` at
+``--seed`` wherever eigenvectors are computed (all but ``sbm-region``).  A
+list takes each value once: a repeated method in ``--methods``, a repeated
+``sbm-region --k`` or ``bench --n`` is a usage error.  No option sets a
+tolerance or a shift: ``cluster`` and ``sbm-cluster`` accept each pair at
+:data:`siglap.cluster.RESID_TOL`, ``bench`` at
 :data:`siglap.geomean.DEFAULT_IPM_TOL`, and GM runs at
 :class:`siglap.graphs.ShiftConfig`'s default shifts.
 
@@ -97,6 +99,8 @@ def _sbm_params(args):
 
 
 def cmd_sbm_region(args):
+    if len(set(args.k)) < len(args.k):
+        raise UsageError("--k values must not repeat")
     rows = [(k, args.steps, conditioning, target, res.fraction, res.denominator)
             for k in args.k
             for (conditioning, target), res in region_fractions(k, args.steps).items()]
@@ -204,7 +208,11 @@ def _method(text):
 
 
 def _methods_list(text):
-    return tuple(_method(m) for m in text.split(","))
+    methods = tuple(_method(m) for m in text.split(","))
+    for i, method in enumerate(methods):
+        if method in methods[:i]:
+            raise argparse.ArgumentTypeError(f"method {method!r} given twice")
+    return methods
 
 
 def _positive_int(minimum):

@@ -227,6 +227,12 @@ def _neighbor_graph(data, k_neigh, farthest):
         raise ValueError(f"need 1 <= k < n, got k={k_neigh}, n={n}")
     if not np.isfinite(data).all():
         raise ValueError("points must have finite coordinates")
+    # the largest coordinate scaled into [0.5, 1) by a power of two, which
+    # is exact: every key is the unscaled one times 4**-e, so the neighbors
+    # and their ties stay, no square overflows, and a cloud of tiny
+    # coordinates keeps its squares from underflowing to zero
+    _, e = np.frexp(np.max(np.abs(data), initial=0.0))
+    data = np.ldexp(data, -e)
     sq = np.sum(data**2, axis=1)
     step = max(1, NEIGHBOR_BLOCK // n)
     cols = np.empty((n, k_neigh), dtype=np.intp)

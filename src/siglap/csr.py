@@ -7,12 +7,15 @@ stored entry is zero: outside input drops its explicit zeros, and every other
 constructor drops the entries that come out zero, so the stored structure of a
 weight matrix is its graph's edge set.  Each array is exactly as long as its
 content: a view into a longer buffer, such as the ones scipy's sums
-over-allocate, is copied to its own length.  Outside input (a scipy matrix or
-a dense array) is canonicalized by scipy and verified to be exactly symmetric,
-both structurally and numerically.  Edge lists, neighbor graphs and graph
-operators are symmetric by construction and hand their canonical arrays to the
-private ``SparseSymMatrix._canonical``, which checks nothing.  Everything
-downstream may rely on symmetry.
+over-allocate, is copied to its own length.  There is one public constructor
+per kind of input: a scipy matrix (``SparseSymMatrix(m)``), a dense array
+(:meth:`SparseSymMatrix.from_dense`) and an edge list
+(:meth:`SparseSymMatrix.from_undirected_edges`).  The first two are
+canonicalized by scipy and verified to be exactly symmetric, both structurally
+and numerically.  Edge lists, neighbor graphs and graph operators are
+symmetric by construction and hand their canonical arrays to the private
+``SparseSymMatrix._canonical``, which checks nothing.  Everything downstream
+may rely on symmetry.
 
 Row pointers and column indices are stored as int32 whenever the order and
 the number of stored entries fit (below ``2**31``), whatever index type the
@@ -252,14 +255,6 @@ class SparseSymMatrix:
 
         a = np.asarray(a, dtype=np.float64)
         return cls(sp.csr_array(a))
-
-    @classmethod
-    def identity(cls, n):
-        return cls.diagonal(np.ones(n))
-
-    @classmethod
-    def diagonal(cls, d):
-        return cls._canonical(*diagonal_arrays(d))
 
     # -- CSR views -------------------------------------------------------
 

@@ -1,17 +1,20 @@
 """Small dense symmetric linear algebra: eigensolves, matrix roots, and the
 dense geometric-mean oracle.
 
-Everything here is O(n^3) and guarded by :data:`ORACLE_CAP`.  No sparse
-solver imports this module: their small projected matrices go straight to
-numpy.  It serves the tests and the dense expected-matrix operators of
-:mod:`siglap.sbm`.
+The eigensolves and matrix roots are O(n^3).  Only the geometric-mean
+oracles, :func:`dense_geometric_mean` and :func:`pencil_inv_sqrt_apply`,
+check :data:`ORACLE_CAP`; :func:`dense_sym_eig`, :func:`dense_inv_sqrt` and
+:func:`subspace_angle` take any order, and the benchmark's oracle check calls
+:func:`dense_sym_eig` directly.  No sparse solver imports this module: their
+small projected matrices go straight to numpy.  It serves the tests and the
+dense expected-matrix operators of :mod:`siglap.sbm`.
 """
 
 import numpy as np
 
 from .errors import IndefiniteOperatorError
 
-# Largest order accepted by the dense oracle routines.  Big enough for every
+# Largest order the geometric-mean oracles accept.  Big enough for every
 # verification task in the test suite, small enough that O(n^3) is instant.
 ORACLE_CAP = 500
 

@@ -176,6 +176,22 @@ class TestClusterCommand:
         assert float(err_row[2]) <= 0.1
         assert len([r for r in rows if r[0] == "label"]) == 40
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_point_cloud_in_any_unit(self, tmp_path, scale):
+        # squared coordinates of 1e200 overflow, and of 1e-200 underflow to
+        # zero
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.normal(0, 0.3, (15, 2)), rng.normal(4, 0.3, (15, 2))])
+        points, truth, out = (tmp_path / "points.txt", tmp_path / "truth.txt",
+                              tmp_path / "error.csv")
+        np.savetxt(points, pts * scale)
+        truth.write_text("\n".join(["0"] * 15 + ["1"] * 15) + "\n")
+        code = main(["cluster", "--points", str(points), "--k", "2",
+                     "--k-plus", "4", "--k-minus", "4", "--method", "GM",
+                     "--truth", str(truth), "--out", str(out)])
+        assert code == 0
+        assert "majority_vote_error,,0\n" in out.read_text()
+
     def test_method_name_is_case_folded(self, tmp_path):
         # as --methods is for sbm-cluster and bench
         edges, _ = self.write_two_cliques(tmp_path)
@@ -397,6 +413,17 @@ class TestOptions:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, methods", [
+        ("sbm-cluster", "GM,GM"), ("sbm-cluster", "SN,gm,BN,GM"),
+        ("bench", "SN,SN")])
+    def test_repeated_method_is_rejected(self, command, methods, capsys):
+        # it would cluster or time every graph twice and repeat its rows
+        with pytest.raises(SystemExit) as exc:
+            main([command, *REQUIRED[command], "--methods", methods])
+        assert exc.value.code == 2
+        repeated = methods.split(",")[-1]
+        assert f"method {repeated!r} given twice" in capsys.readouterr().err
+
 
 def write_clique(path, n):
     path.write_text("".join(f"{i} {j} 1.0\n" for i in range(n)
@@ -471,6 +498,11 @@ class TestInputErrors:
             err = self.run(["cluster", "--points", str(points), "--k", "2"],
                            capsys)
         assert f"{points} holds no points" in err
+
+    def test_repeated_region_k(self, capsys):
+        err = self.run(["sbm-region", "--k", "2", "--k", "3", "--k", "2",
+                        "--steps", "4"], capsys)
+        assert "--k values must not repeat" in err
 
     def test_odd_bench_size(self, capsys):
         err = self.run(["bench", "--n", "11", "--repetitions", "1"], capsys)

@@ -298,6 +298,21 @@ class TestNeighborGraphs:
         with pytest.raises(ValueError, match="k"):
             knn_pos_graph(np.zeros((3, 1)), 3)
 
+    @pytest.mark.parametrize("build", [knn_pos_graph, kfn_neg_graph],
+                             ids=["knn", "kfn"])
+    @pytest.mark.parametrize("line, scale", [
+        *(([0.0, 1.0, 2.0, 3.0], 2.0**p) for p in (-1000, 511, 512, 1000)),
+        ([0.0, 1.0, 3.0, 7.0], 1e300), ([0.0, 1.0, 3.0, 7.0], 1e-300)],
+        ids=["2^-1000", "2^511", "2^512", "2^1000", "1e300", "1e-300"])
+    def test_any_unit_gives_the_unit_graph(self, build, line, scale):
+        # squares overflow from about 2**511 and underflow to zero below
+        # about 2**-537; the first line's equal distances must keep the
+        # smaller-index tie rule, and the second line has no ties
+        line = np.array(line)[:, None]
+        one, scaled = build(line, 1), build(line * scale, 1)
+        for name in ("row_ptr", "col_idx", "values"):
+            np.testing.assert_array_equal(getattr(scaled, name), getattr(one, name))
+
     @pytest.mark.parametrize("farthest", [False, True], ids=["knn", "kfn"])
     @pytest.mark.parametrize("block_rows", [1, 7], ids=["row", "seven-rows"])
     @pytest.mark.parametrize("cloud, k", [("integers", 6), ("integers", 1),

@@ -97,8 +97,6 @@ def construction_routes():
         "from_undirected_edges":
             SparseSymMatrix.from_undirected_edges(3, [0, 1], [1, 2], [1.0, 2.0]),
         "from_dense": a,
-        "identity": SparseSymMatrix.identity(3),
-        "diagonal": SparseSymMatrix.diagonal([1.0, 2.0, 3.0]),
         "add_diagonal": a.add_diagonal(0.5),
         "int64 csr": SparseSymMatrix(int64_csr(a)),
     }
@@ -227,16 +225,11 @@ class TestSpmv:
         # the compiled kernel does not check lengths: a short x would be
         # read past its end
         with pytest.raises(ValueError, match="length 3"):
-            SparseSymMatrix.identity(3).matvec(np.ones(shape))
+            SparseSymMatrix.from_dense(np.eye(3)).matvec(np.ones(shape))
 
     def test_laplacian_kernel(self):
         m = SparseSymMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]])
         assert np.array_equal(m.matvec(np.ones(2)), np.zeros(2))
-
-    def test_identity(self):
-        m = SparseSymMatrix.identity(3)
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(m.matvec(x), x)
 
     def test_hand_multiplication(self):
         m = SparseSymMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]])
@@ -244,7 +237,7 @@ class TestSpmv:
         assert np.array_equal(m.matvec(x), x)
 
     def test_dimension_mismatch(self):
-        m = SparseSymMatrix.identity(3)
+        m = SparseSymMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError, match="length 3"):
             m.matvec(np.ones(4))
 
@@ -261,7 +254,7 @@ class TestSpmv:
 
 class TestAlgebra:
     def test_add_diagonal_scalar_and_vector(self):
-        a = SparseSymMatrix.identity(2)
+        a = SparseSymMatrix.from_dense(np.eye(2))
         np.testing.assert_array_equal(a.add_diagonal(0.5).diagonal_vector(), [1.5, 1.5])
         np.testing.assert_array_equal(
             a.add_diagonal([1.0, 2.0]).diagonal_vector(), [2.0, 3.0]
@@ -412,5 +405,6 @@ class TestScipyInterop:
                         "m.EXTENSION_SUFFIXES[:] = ['.missing']; "
                         "import siglap.csr as c; "
                         "print(c._sparsetools.__name__, 'scipy.sparse' in sys.modules, "
-                        "c.SparseSymMatrix.identity(2).matvec([1.0, 2.0]).tolist() == [1.0, 2.0])")
+                        "c.SparseSymMatrix.from_undirected_edges(2, [0], [1], [1.0])"
+                        ".matvec([1.0, 2.0]).tolist() == [2.0, 1.0])")
         assert out == ["scipy.sparse._sparsetools", "True", "True"]

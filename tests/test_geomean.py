@@ -169,8 +169,8 @@ class TestEksm:
         assert res.s <= 4
 
     def test_commuting_diagonal(self):
-        pencil = PencilOperator(SparseSymMatrix.diagonal([1.0, 4.0]),
-                                SparseSymMatrix.diagonal([4.0, 1.0]))
+        pencil = PencilOperator(SparseSymMatrix.from_dense(np.diag([1.0, 4.0])),
+                                SparseSymMatrix.from_dense(np.diag([4.0, 1.0])))
         res = eksm_apply_inv_sqrt(pencil, np.array([1.0, 1.0]))
         np.testing.assert_allclose(res.x, [0.5, 2.0], atol=1e-10)
 
@@ -377,15 +377,15 @@ class TestEksmExtrapolatedStop:
 
 class TestIpm:
     def test_identity_pencil(self):
-        pencil = PencilOperator(SparseSymMatrix.identity(6),
-                                SparseSymMatrix.identity(6))
+        pencil = PencilOperator(SparseSymMatrix.from_dense(np.eye(6)),
+                                SparseSymMatrix.from_dense(np.eye(6)))
         pair = smallest_k_eigenpairs(pencil, 1)[0]
         assert pair.value == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0)
 
     def test_commuting_diagonal(self):
-        pencil = PencilOperator(SparseSymMatrix.diagonal([1.0, 4.0]),
-                                SparseSymMatrix.diagonal([9.0, 1.0]))
+        pencil = PencilOperator(SparseSymMatrix.from_dense(np.diag([1.0, 4.0])),
+                                SparseSymMatrix.from_dense(np.diag([9.0, 1.0])))
         pair = smallest_k_eigenpairs(pencil, 1, tol=1e-12)[0]
         assert pair.value == pytest.approx(2.0, abs=1e-9)
         assert abs(pair.vector[1]) == pytest.approx(1.0, abs=1e-6)
@@ -419,8 +419,8 @@ class TestIpm:
 
 class TestSmallestK:
     def test_identity_pencil_degenerate(self):
-        pencil = PencilOperator(SparseSymMatrix.identity(5),
-                                SparseSymMatrix.identity(5))
+        pencil = PencilOperator(SparseSymMatrix.from_dense(np.eye(5)),
+                                SparseSymMatrix.from_dense(np.eye(5)))
         pairs = smallest_k_eigenpairs(pencil, 3)
         vals = [p.value for p in pairs]
         np.testing.assert_allclose(vals, np.ones(3), atol=1e-9)
@@ -428,8 +428,8 @@ class TestSmallestK:
         np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-8)
 
     def test_commuting_diagonal_multiplicity(self):
-        pencil = PencilOperator(SparseSymMatrix.diagonal([1.0, 4.0, 9.0]),
-                                SparseSymMatrix.diagonal([9.0, 4.0, 1.0]))
+        pencil = PencilOperator(SparseSymMatrix.from_dense(np.diag([1.0, 4.0, 9.0])),
+                                SparseSymMatrix.from_dense(np.diag([9.0, 4.0, 1.0])))
         pairs = smallest_k_eigenpairs(pencil, 2, tol=1e-11)
         np.testing.assert_allclose([p.value for p in pairs], [3.0, 3.0], atol=1e-8)
         span = np.column_stack([p.vector for p in pairs])
@@ -486,8 +486,8 @@ class TestSmallestK:
             np.testing.assert_allclose([p.value for p in pairs], geo[:3], atol=1e-8)
 
     def test_k_validation(self):
-        pencil = PencilOperator(SparseSymMatrix.identity(4),
-                                SparseSymMatrix.identity(4))
+        pencil = PencilOperator(SparseSymMatrix.from_dense(np.eye(4)),
+                                SparseSymMatrix.from_dense(np.eye(4)))
         with pytest.raises(ValueError):
             smallest_k_eigenpairs(pencil, 0)
         with pytest.raises(ValueError):
@@ -508,8 +508,8 @@ class TestSmallestK:
         # k = n fills the basis with n applications; Lanczos stops there,
         # the Krylov space of the start vector (two eigenvalues, so two
         # dimensions) continued by a random vector from the seed
-        pencil = PencilOperator(SparseSymMatrix.diagonal([1.0, 4.0, 9.0]),
-                                SparseSymMatrix.diagonal([9.0, 4.0, 1.0]))
+        pencil = PencilOperator(SparseSymMatrix.from_dense(np.diag([1.0, 4.0, 9.0])),
+                                SparseSymMatrix.from_dense(np.diag([9.0, 4.0, 1.0])))
         pairs = smallest_k_eigenpairs(pencil, 3, tol=1e-10)
         np.testing.assert_allclose([p.value for p in pairs], [3.0, 3.0, 4.0],
                                    rtol=1e-9)
@@ -529,8 +529,8 @@ class TestSmallestK:
     def test_breakdown_restarts_come_from_the_seed(self):
         # every direction of the identity pencil spans an invariant subspace,
         # so each new basis vector is drawn at random, from the seed
-        pencil = PencilOperator(SparseSymMatrix.identity(6),
-                                SparseSymMatrix.identity(6))
+        pencil = PencilOperator(SparseSymMatrix.from_dense(np.eye(6)),
+                                SparseSymMatrix.from_dense(np.eye(6)))
         first, again, other = (
             np.column_stack([p.vector for p in smallest_k_eigenpairs(
                 pencil, 2, tol=RESID_TOL, seed=seed)])
@@ -540,8 +540,9 @@ class TestSmallestK:
         np.testing.assert_allclose(first.T @ first, np.eye(2), atol=1e-12)
 
     def test_inner_failure_passes_through(self):
-        pencil = PencilOperator(SparseSymMatrix.diagonal([-1.0, 1.0, 2.0, 3.0]),
-                                SparseSymMatrix.identity(4))
+        pencil = PencilOperator(
+            SparseSymMatrix.from_dense(np.diag([-1.0, 1.0, 2.0, 3.0])),
+            SparseSymMatrix.from_dense(np.eye(4)))
         with pytest.raises(IndefiniteOperatorError, match="curvature"):
             smallest_k_eigenpairs(pencil, 1)
 
@@ -753,8 +754,8 @@ class TestPencilKernels:
         kernel = KernelBasis(ids=np.array([0, -1]), entries=np.array([1.0, 0.0]),
                              count=1)
         with pytest.raises(IndefiniteOperatorError, match="Rayleigh"):
-            PencilOperator(SparseSymMatrix.diagonal([-1.0, 1.0]),
-                           SparseSymMatrix.identity(2),
+            PencilOperator(SparseSymMatrix.from_dense(np.diag([-1.0, 1.0])),
+                           SparseSymMatrix.from_dense(np.eye(2)),
                            kernels=(kernel, KernelBasis.empty(2)))
 
     def test_inner_iterations_do_not_depend_on_the_shift(self, pcg_iterations):

@@ -8,22 +8,23 @@ from siglap.sbm import SbmParams, sample
 
 class TestPcgBasics:
     def test_identity_one_iteration(self):
-        x, iters = pcg_solve(SparseSymMatrix.identity(2), np.array([3.0, 4.0]))
+        x, iters = pcg_solve(SparseSymMatrix.from_dense(np.eye(2)),
+                             np.array([3.0, 4.0]))
         np.testing.assert_array_equal(x, [3.0, 4.0])
         assert iters == 1
 
     def test_diagonal_solve(self):
-        m = SparseSymMatrix.diagonal([1.0, 2.0, 4.0])
+        m = SparseSymMatrix.from_dense(np.diag([1.0, 2.0, 4.0]))
         x, _ = pcg_solve(m, np.array([1.0, 2.0, 4.0]))
         np.testing.assert_allclose(x, np.ones(3), atol=1e-12)
 
     def test_zero_rhs(self):
-        x, iters = pcg_solve(SparseSymMatrix.identity(3), np.zeros(3))
+        x, iters = pcg_solve(SparseSymMatrix.from_dense(np.eye(3)), np.zeros(3))
         assert iters == 0
         np.testing.assert_array_equal(x, np.zeros(3))
 
     def test_indefinite_breakdown(self):
-        m = SparseSymMatrix.diagonal([1.0, -1.0])
+        m = SparseSymMatrix.from_dense(np.diag([1.0, -1.0]))
         with pytest.raises(IndefiniteOperatorError, match="curvature"):
             pcg_solve(m, np.array([0.0, 1.0]))
 
@@ -43,7 +44,7 @@ class TestPcgBasics:
     def test_invalid_tol(self):
         for tol in (0.0, np.nan):
             with pytest.raises(ValueError):
-                pcg_solve(SparseSymMatrix.identity(2), np.ones(2), tol=tol)
+                pcg_solve(SparseSymMatrix.from_dense(np.eye(2)), np.ones(2), tol=tol)
 
 
 class TestPcgAgainstDenseSolves:

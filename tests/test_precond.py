@@ -17,7 +17,7 @@ def dense_factor(pc):
 
 class TestIncompleteCholesky:
     def test_diagonal_matrix(self):
-        pc = incomplete_cholesky(SparseSymMatrix.diagonal([4.0, 9.0]))
+        pc = incomplete_cholesky(SparseSymMatrix.from_dense(np.diag([4.0, 9.0])))
         assert pc.kind == "ic0"
         np.testing.assert_allclose(dense_factor(pc), np.diag([2.0, 3.0]))
 
@@ -60,7 +60,7 @@ class TestIncompleteCholesky:
         np.testing.assert_allclose(pc.solve(r), np.linalg.solve(spd, r), atol=1e-10)
 
     def test_exact_on_diagonal_operator(self):
-        m = SparseSymMatrix.diagonal([1e-4, 3.0, 250.0])
+        m = SparseSymMatrix.from_dense(np.diag([1e-4, 3.0, 250.0]))
         b = np.array([1.0, -2.0, 5.0])
         x, iters = pcg_solve(m, b, incomplete_cholesky(m), tol=1e-14)
         assert iters == 1

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_seed_sequence
-from .csr import SparseSymMatrix
+from .csr import SparseSymMatrix, _unit_values
 from .errors import ConvergenceError
 from .geomean import (DEFAULT_IPM_TOL, PencilOperator,
                       matrix_smallest_k_eigenpairs, smallest_k_eigenpairs)
@@ -244,7 +244,7 @@ def _neighbor_graph(data, k_neigh, farthest):
     # union symmetrization: a pair listed in both orientations sums to 2,
     # so the structure is the union and every value is then reset to 1
     sym = SparseSymMatrix.from_undirected_edges(n, rows, cols, np.ones(rows.size))
-    return SparseSymMatrix._canonical(sym.row_ptr, sym.col_idx, np.ones(sym.nnz))
+    return SparseSymMatrix._canonical(sym.row_ptr, sym.col_idx, _unit_values(sym.nnz))
 
 
 def knn_pos_graph(data, k_plus):

@@ -20,7 +20,15 @@ may rely on symmetry.
 Row pointers and column indices are stored as int32 whenever the order and
 the number of stored entries fit (below ``2**31``), whatever index type the
 input had: an entry then takes 12 bytes instead of 16, and a product reads
-less memory.
+less memory.  An unweighted graph, every stored value exactly 1.0 (a sampled
+block model, a kNN/kFN graph, a +-1 edge list), stores no weights at all: its
+``values`` is one read-only 1.0 of stride 0, ``np.broadcast_to(1.0, (nnz,))``,
+so an entry takes 4 bytes.  :meth:`SparseSymMatrix.from_undirected_edges`
+tests its result for it, and the neighbor graphs of :mod:`siglap.cluster`,
+unit by construction, take it from ``_unit_values``; assembled operators and
+weighted inputs keep an array of their own.  Every reader sees the same
+numbers, bit for bit, but a kernel that needs a contiguous array copies it on
+each call, so a unit graph is best kept out of hot products.
 
 The scipy boundary: a matrix holds no scipy object, and only the boundary
 operations import the ``scipy.sparse`` package.  That import costs a process
@@ -95,6 +103,12 @@ def _exact(a):
     return a.copy() if a.base is not None and a.base.nbytes > a.nbytes else a
 
 
+def _unit_values(nnz):
+    # the values of a graph whose every weight is 1.0: one read-only 8-byte
+    # 1.0 with stride 0, which every reader takes as an array of nnz ones
+    return np.broadcast_to(1.0, (nnz,))
+
+
 def diagonal_arrays(d):
     """Canonical CSR arrays ``(row_ptr, col_idx, values)`` of ``diag(d)``,
     without its zero entries."""
@@ -150,7 +164,9 @@ class SparseSymMatrix:
         Matrix order.
     row_ptr, col_idx, values : ndarray
         The raw CSR arrays (``row_ptr`` has length ``n + 1``); the two index
-        arrays are int32 whenever they fit.
+        arrays are int32 whenever they fit.  ``values`` may be a read-only
+        zero-stride 1.0 (see the module docstring): read it, and copy it
+        where a contiguous array is needed.
     """
 
     __slots__ = ("_arrays", "n")
@@ -247,7 +263,11 @@ class SparseSymMatrix:
         # upper.T in CSR (csc.tocsr()), then upper + upper.T
         lower = (np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz))
         _sparsetools.csr_tocsc(n, n, *upper, *lower)
-        return cls._canonical(*add_canonical(n, upper, lower))
+        ptr, cols, vals = add_canonical(n, upper, lower)
+        # an unweighted graph (every weight 1.0) stores no weights
+        if vals.size and vals.min() == 1.0 == vals.max():
+            vals = _unit_values(vals.size)
+        return cls._canonical(ptr, cols, vals)
 
     @classmethod
     def from_dense(cls, a):

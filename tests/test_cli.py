@@ -125,6 +125,33 @@ class TestSbmCluster:
         ]
 
 
+    def test_failed_method_writes_na_rows(self, tmp_path, monkeypatch):
+        # GM fails on every run; BN's rows are those of the pinned run
+        def gm_fails(g, k, method, **kwargs):
+            if method == "GM":
+                raise ConvergenceError("no convergence")
+            return spectral_cluster(g, k, method=method, **kwargs)
+
+        monkeypatch.setattr(siglap.cli, "spectral_cluster", gm_fails)
+        out = tmp_path / "runs.csv"
+        assert main(["sbm-cluster", "--k", "3", "--cluster-size", "15",
+                     "--p-in-plus", "0.4", "--p-out-plus", "0.25",
+                     "--p-in-minus", "0.25", "--p-out-minus", "0.4",
+                     "--runs", "2", "--seed", "9", "--methods", "GM,BN",
+                     "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows[:3] == [
+            ["GM", "0", "9", "NA", "NA", "failed: ConvergenceError"],
+            ["GM", "1", "9", "NA", "NA", "failed: ConvergenceError"],
+            ["GM", "median", "9", "NA", "", ""],
+        ]
+        assert [r[:4] + r[5:] for r in rows[3:]] == [
+            ["BN", "0", "9", "0.42222222222222222", "ok"],
+            ["BN", "1", "9", "0.35555555555555557", "ok"],
+            ["BN", "median", "9", "0.3888888888888889", ""],
+        ]
+
+
 class TestClusterCommand:
     def write_two_cliques(self, tmp_path):
         lines = []

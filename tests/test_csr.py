@@ -7,8 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 import siglap
-from siglap import (ShiftConfig, SparseSymMatrix, kfn_neg_graph, knn_pos_graph,
-                    load_edge_list, shifted_pair)
+from siglap import (SbmParams, ShiftConfig, SignedGraph, SparseSymMatrix,
+                    kfn_neg_graph, knn_pos_graph, load_edge_list, pencil_kernels,
+                    sample, shifted_pair, spectral_cluster)
 from siglap.csr import add_canonical, pair_products
 from siglap.graphs import SIGNED_KINDS, laplacian, signed_laplacian, signless_laplacian
 from siglap.sbm import two_cluster_benchmark_graph
@@ -135,11 +136,32 @@ def blobs(sizes=(16, 32, 48, 64), dim=10, seed=0):
     return centers[truth] + np.random.default_rng(seed).standard_normal((truth.size, dim))
 
 
-def edge_list_graph(tmp_path):
+def edge_list_graph(tmp_path, text="0 1 1.0\n1 2 -2.0\n0 2 0.5\n2 3 1.0\n"):
     path = tmp_path / "edges.txt"
-    path.write_text("0 1 1.0\n1 2 -2.0\n0 2 0.5\n2 3 1.0\n")
+    path.write_text(text)
     g = load_edge_list(path)
     return {"edge list +": g.w_plus, "edge list -": g.w_minus}
+
+
+UNIT_GRAPHS = ("knn/kfn", "two-cluster", "sample", "+-1 edge list")
+
+
+def unit_graph(name, tmp_path):
+    """A signed graph whose every weight is 1.0, built by the route ``name``,
+    and the number of clusters it holds."""
+    if name == "knn/kfn":
+        pts = blobs()
+        return SignedGraph(knn_pos_graph(pts, 10), kfn_neg_graph(pts, 10)), 4
+    if name == "two-cluster":
+        return two_cluster_benchmark_graph(60, 20, 2)[0], 2
+    if name == "sample":
+        return sample(SbmParams(k=3, cluster_size=12, p_in_plus=0.6, p_out_plus=0.1,
+                                p_in_minus=0.1, p_out_minus=0.6), seed=4), 3
+    # two triangles, held apart by -1 edges and joined by one +1 edge
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1 1\n0 2 1\n1 2 1\n3 4 1\n3 5 1\n4 5 1\n"
+                    "0 3 -1\n1 4 -1\n2 5 -1\n2 3 1\n")
+    return load_edge_list(path), 2
 
 
 class TestExactLength:
@@ -154,9 +176,23 @@ class TestExactLength:
         for a in (m.row_ptr, m.col_idx, m.values):
             assert a.base is None or a.base.nbytes <= a.nbytes
 
+    @staticmethod
+    def assert_owned(m):
+        # weights of their own: one contiguous, writeable float per entry
+        assert m.values.strides == (8,) and m.values.flags.c_contiguous
+        assert m.values.flags.writeable
+
+    @staticmethod
+    def assert_unit(m):
+        # every weight is 1.0, so one read-only 8-byte 1.0 stands for them
+        assert m.values.strides == (0,) and not m.values.flags.writeable
+        assert m.values.base.nbytes == 8
+        assert np.all(m.values == 1.0)
+
     @pytest.mark.parametrize("m", by_name({**construction_routes(), **graph_operators()}))
     def test_constructed_and_assembled(self, m):
         self.assert_exact(m)
+        self.assert_owned(m)
 
     @pytest.mark.parametrize("build", [knn_pos_graph, kfn_neg_graph])
     def test_neighbor_graphs(self, build):
@@ -165,8 +201,24 @@ class TestExactLength:
         self.assert_exact(build(blobs(), 10))
 
     def test_edge_list(self, tmp_path):
-        for m in edge_list_graph(tmp_path).values():
+        # weighted lists keep their weights, a list of one weight too
+        graphs = [*edge_list_graph(tmp_path).values(),
+                  edge_list_graph(tmp_path, "1 2 2.5\n")["edge list +"]]
+        for m in graphs:
             self.assert_exact(m)
+            self.assert_owned(m)
+
+    @pytest.mark.parametrize("name", UNIT_GRAPHS)
+    def test_unit_graphs_store_no_weights(self, name, tmp_path):
+        g, _ = unit_graph(name, tmp_path)
+        for m in (g.w_plus, g.w_minus):
+            self.assert_exact(m)
+            self.assert_unit(m)
+        # their operators are never all ones, and keep arrays of their own
+        for m in (*shifted_pair(g, ShiftConfig()),
+                  *(signed_laplacian(g, kind) for kind in SIGNED_KINDS)):
+            self.assert_exact(m)
+            self.assert_owned(m)
 
 
 def scipy_triple(m):
@@ -369,6 +421,56 @@ class TestScipyChain:
         assert np.array_equal(dense.view(np.uint64), expect.view(np.uint64))
 
 
+def with_ones(g):
+    """``g`` with an array of ones for the weights of each of its graphs."""
+    def ones(m):
+        return SparseSymMatrix._canonical(m.row_ptr, m.col_idx, np.ones(m.nnz))
+    return SignedGraph(ones(g.w_plus), ones(g.w_minus))
+
+
+class TestUnitValues:
+    """A graph that stores one 1.0 for its weights gives, bit for bit, what
+    the same graph with an array of ones gives."""
+
+    @pytest.mark.parametrize("name", UNIT_GRAPHS)
+    def test_graph_reads(self, name, tmp_path):
+        g, _ = unit_graph(name, tmp_path)
+        ones = with_ones(g)
+        for m, expect in ((g.w_plus, ones.w_plus), (g.w_minus, ones.w_minus)):
+            # what the pinned digests hash
+            assert m.values.tobytes() == expect.values.tobytes()
+            assert np.array_equal(m.row_sums(), expect.row_sums())
+            assert np.array_equal(m.to_dense(), expect.to_dense())
+            assert_same_arrays(SparseSymMatrix(m.to_scipy()), expect)
+            x = np.random.default_rng(0).standard_normal(m.n)
+            assert np.array_equal(m.matvec(x), expect.matvec(x))
+
+    @pytest.mark.parametrize("name", UNIT_GRAPHS)
+    def test_operators(self, name, tmp_path):
+        g, _ = unit_graph(name, tmp_path)
+        ones = with_ones(g)
+        for kind in SIGNED_KINDS:
+            assert_same_arrays(signed_laplacian(g, kind), signed_laplacian(ones, kind))
+        for m, expect in zip(shifted_pair(g, ShiftConfig()),
+                             shifted_pair(ones, ShiftConfig())):
+            assert_same_arrays(m, expect)
+        for basis, expect in zip(pencil_kernels(g), pencil_kernels(ones)):
+            assert basis.count == expect.count
+            assert np.array_equal(basis.ids, expect.ids)
+            assert np.array_equal(basis.entries, expect.entries)
+
+    @pytest.mark.parametrize("method", ["GM", "SN"])
+    @pytest.mark.parametrize("name", UNIT_GRAPHS)
+    def test_clustering(self, name, method, tmp_path):
+        g, k = unit_graph(name, tmp_path)
+        got = spectral_cluster(g, k, method=method, seed=3)
+        expect = spectral_cluster(with_ones(g), k, method=method, seed=3)
+        assert np.array_equal(got.labels.labels, expect.labels.labels)
+        assert np.array_equal([p.value for p in got.eigenpairs],
+                              [p.value for p in expect.eigenpairs])
+        assert np.array_equal(got.embedding, expect.embedding)
+
+
 def run_fresh(code):
     src = os.path.dirname(os.path.dirname(siglap.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -395,9 +497,22 @@ class TestScipyInterop:
         assert out == ["False", "True", "0", "True", "True", "1"]
 
     def test_siglap_after_scipy_sparse(self):
-        out = run_fresh("import scipy.sparse as sp, siglap.csr as c; "
-                        "print(c._sparsetools is sp._sparsetools)")
-        assert out == ["True"]
+        # the kernels scipy.sparse loaded are reused, and products run on them
+        out = run_fresh("import sys, scipy.sparse as sp, siglap.csr as c\n"
+                        "print(c._sparsetools is sys.modules['scipy.sparse._sparsetools'])\n"
+                        "m = c.SparseSymMatrix.from_undirected_edges(2, [0], [1], [2.0])\n"
+                        "print(m.matvec([1.0, 3.0]).tolist() == "
+                        "(m.to_scipy() @ [1.0, 3.0]).tolist() == [6.0, 2.0])")
+        assert out == ["True", "True"]
+
+    def test_loader_takes_the_imported_kernels(self):
+        # the same branch in this process, where scipy.sparse is imported
+        kernels = siglap.csr._load_sparsetools()
+        assert kernels is sys.modules["scipy.sparse._sparsetools"]
+        y = np.zeros(2)
+        kernels.csr_matvec(2, 2, np.array([0, 1, 2], np.int32), np.array([1, 0], np.int32),
+                           np.array([2.0, 2.0]), np.array([1.0, 3.0]), y)
+        assert y.tolist() == [6.0, 2.0]
 
     def test_missing_file_falls_back_to_the_import(self):
         # with no extension suffix matching, the kernels come from scipy.sparse
